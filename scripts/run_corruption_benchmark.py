@@ -27,7 +27,6 @@ def parse_args():
     p.add_argument("--d", type=int, default=10)
     p.add_argument("--folds", type=int, default=5)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--outdir", default="results")
     p.add_argument("--quick", action="store_true",
                    help="small n / 2 folds / single K, for a fast smoke run")
@@ -43,8 +42,7 @@ def main():
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
     k_list = [float(k) for k in args.k.split(",")]
 
-    report = run_benchmark(task, methods, k_list,
-                           folds=args.folds, seeds=args.seed, jobs=args.jobs)
+    report = run_benchmark(task, methods, k_list, folds=args.folds, seeds=args.seed)
 
     os.makedirs(args.outdir, exist_ok=True)
     stem = os.path.join(args.outdir, f"benchmark-{args.task}-seed{args.seed}")

@@ -35,7 +35,6 @@ from .gradients import (
     GradResult,
     bias_lower_bound,
     estimate_bias_diagnostics,
-    lu_batch_gradient,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -67,7 +66,7 @@ __all__ = [
     "bias_lower_bound", "corrupt", "derive_rng", "derive_seed", "dloss_df",
     "estimate_bias_diagnostics", "estimate_eta_xi_delta", "generate_uncorrupted",
     "grid_search", "init_model",
-    "load_model", "loss_value", "lower_grad_coeff", "lu_batch_gradient", "mae",
+    "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "method_train_config", "naive_batch_gradient",
     "param_jacobian", "partition_upper", "population_gradient_oracle",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",

@@ -189,7 +189,6 @@ ARG_TABLE = {
                  help="lambda candidates, comma separated"),
             _arg("--sigma-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
                  help="rbf width candidates, comma separated"),
-            _arg("--jobs", type=int, default=1, help="concurrent (k, fold, method) items"),
             _arg("--out", type=str, default=None, help="report JSON path; default stdout"),
             _arg("--table", type=str, default=None, help="optional aligned-text table path"),
             _arg("--points", type=str, default=None,
@@ -529,7 +528,7 @@ def _run_benchmark(opts: dict) -> int:
         val_fraction=float(opts["val_fraction"]), grid=grid, arch=_arch_from(opts),
         batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),
         patience=int(opts["patience"]), huber_delta=float(opts["huber_delta"]),
-        reg=_reg_from(opts), jobs=int(opts["jobs"]),
+        reg=_reg_from(opts),
     )
     _write_or_stdout(report.to_json(), opts.get("out"))
     if opts.get("table"):

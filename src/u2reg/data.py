@@ -101,6 +101,13 @@ class Dataset:
             self.ys_true = np.asarray(self.ys_true, dtype=float)
             if self.ys_true.shape != (n,):
                 raise ValueError("ys_true length does not match xs rows")
+        # a NaN label would drop silently out of the trusted rows of u2/lu
+        finite_x = np.isfinite(self.xs).all(axis=0)
+        if not finite_x.all():
+            raise ValueError(f"feature column x{int(np.argmin(finite_x))} holds a non-finite value")
+        for name, col in (("y_prime", self.ys_prime), ("y_true", self.ys_true)):
+            if col is not None and not np.isfinite(col).all():
+                raise ValueError(f"column {name} holds a non-finite value")
         if self.corrupted is not None:
             self.corrupted = np.asarray(self.corrupted, dtype=bool)
             if self.corrupted.shape != (n,):
@@ -212,10 +219,12 @@ def corrupt(dataset: Dataset, process: SyntheticProcess, seed: int) -> Dataset:
         # eps_sym is recoverable because ys_true = oracle + eps_sym
         eps = dataset.ys_true[picked] - process.oracle(dataset.xs[picked])
         floor = 2.0 * np.abs(eps)
-        bad = mag <= floor
-        while np.any(bad):
-            mag[bad] = np.abs(rng.standard_normal(int(bad.sum())) * width)
-            bad = mag <= floor
+        # redraw only the rows still rejected, kept in ascending row order:
+        # that order fixes which draw of the stream each row receives
+        bad = np.flatnonzero(mag <= floor)
+        while bad.size:
+            mag[bad] = np.abs(rng.standard_normal(bad.size) * width)
+            bad = bad[mag[bad] <= floor[bad]]
     out.ys_prime[picked] = out.ys_true[picked] - mag
     out.corrupted[picked] = True
     return out

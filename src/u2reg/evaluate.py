@@ -14,14 +14,13 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .data import Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv, standardize
-from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
-from .losses import LossKind, LossSpec, dloss_df
+from .gradients import BiasDiagnostics, _side_gap, _side_sums
+from .losses import LossKind, LossSpec
 from .models import ArchSpec, init_model
 from .optim import AdamParams, TrainConfig, TrainResult, train
 from .rngutil import derive_rng, derive_seed
@@ -372,7 +371,6 @@ def run_benchmark(
     patience: int = 20,
     huber_delta: float = 1.0,
     reg: str | None = "l2",
-    jobs: int = 1,
 ) -> BenchmarkReport:
     """Full corruption-to-report pipeline, deterministic per seed list.
 
@@ -459,22 +457,12 @@ def run_benchmark(
 
     results: dict[tuple, dict] = {}
     errors: list[str] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(run_item, item): item for item in work}
-            for future, item in futures.items():
-                key = item[:4]
-                try:
-                    results[key] = future.result()
-                except Exception as exc:
-                    errors.append(f"seed={key[0]} k={key[1]} fold={key[2]} method={key[3]}: {exc!r}")
-    else:
-        for item in work:
-            key = item[:4]
-            try:
-                results[key] = run_item(item)
-            except Exception as exc:
-                errors.append(f"seed={key[0]} k={key[1]} fold={key[2]} method={key[3]}: {exc!r}")
+    for item in work:
+        key = item[:4]
+        try:
+            results[key] = run_item(item)
+        except Exception as exc:
+            errors.append(f"seed={key[0]} k={key[1]} fold={key[2]} method={key[3]}: {exc!r}")
 
     summaries: list[MethodSummary] = []
     points: list[dict] = []
@@ -544,33 +532,9 @@ def estimate_eta_xi_delta(
         raise ValueError("need at least 1000 Monte-Carlo rows")
     rng = derive_rng(seed, "eta-xi-delta")
     chunk = 65536
-    n_up = 0
-    g_up = None
-    g_lo = None
-    remaining = n_mc
-    while remaining > 0:
-        take = min(chunk, remaining)
-        X, y = process.draw_clean(take, rng)
-        preds, cache = model.forward_train(X, None)
-        up = partition_upper(preds, y)
-        coeff = np.where(up, dloss_df(spec, preds, y, "upper"),
-                         dloss_df(spec, preds, y, "lower"))
-        gu = model.backward_weighted(cache, np.where(up, coeff, 0.0))
-        gl = model.backward_weighted(cache, np.where(up, 0.0, coeff))
-        g_up = gu if g_up is None else g_up + gu
-        g_lo = gl if g_lo is None else g_lo + gl
-        n_up += int(up.sum())
-        remaining -= take
-    if n_up == 0 or n_up == n_mc:
-        raise ValueError(
-            "every Monte-Carlo draw fell on one side of the partition; "
-            "the side gap delta is not estimable (eta is degenerate)"
-        )
-    eta = n_up / n_mc
-    xi = 1.0 - process.k_percent / 100.0
-    delta = float(np.max(np.abs(g_up / n_up - g_lo / (n_mc - n_up))))
-    return BiasDiagnostics(
-        eta=eta, xi=xi, delta=delta,
-        bound=bias_lower_bound(eta, xi, delta),
-        n_rows=n_mc, n_upper=n_up,
-    )
+    n_up, g_up, g_lo = 0, 0.0, 0.0
+    for start in range(0, n_mc, chunk):
+        X, y = process.draw_clean(min(chunk, n_mc - start), rng)
+        nu, gu, gl = _side_sums(model, X, y, spec)
+        n_up, g_up, g_lo = n_up + nu, g_up + gu, g_lo + gl
+    return _side_gap(n_mc, n_up, g_up, g_lo, 1.0 - process.k_percent / 100.0)

@@ -25,10 +25,10 @@ per row, so a single weighted backward pass computes the whole thing:
 
     coeff_i = 1[up_i] * (dL_up(f_i, y_i) - c_g) + rho * c_g.
 
-The mirrored variant for upward-only corruption swaps the roles of the two
-sides. Rows with f_i == y_i belong to the upper side in both variants: they
-are trustworthy for the downward-corruption form and unlabeled-only for the
-mirror.
+The mirrored variant for upward-only corruption (mirror=True) swaps the
+roles of the two sides. Rows with f_i == y_i belong to the upper side in
+both variants: they are trustworthy for the downward-corruption form and
+unlabeled-only for the mirror.
 """
 
 from __future__ import annotations
@@ -97,53 +97,34 @@ def u2_batch_gradient(
     lam: float = 0.0,
     reg: str | None = "l2",
     rng=None,
+    mirror: bool = False,
 ) -> GradResult:
-    """Corrected gradient for downward-only label corruption.
+    """Corrected gradient for one-sided label corruption.
 
     Unnormalized sums over the batch, per the module docstring; rng enables
     train-mode stochasticity (dropout) in the forward pass, and the row
     partition uses that same forward pass.
+
+    mirror=True handles upward-only corruption: rows with y_i < f_i keep the
+    labeled lower-side term (ties f_i == y_i are treated as upper and dropped
+    from it), and the upper side is rebuilt from the constant c_u = d/df L_up
+    on f < y, reweighted by rho, which stands for the clean fraction exactly
+    as in the downward form.
     """
     _check_rho_lam(rho, lam)
     ys = np.asarray(ys, dtype=float)
-    c_g = lower_grad_coeff(spec)
     preds, cache = model.forward_train(xs, rng)
-    up = partition_upper(preds, ys)
-    coeff = np.where(up, dloss_df(spec, preds, ys, "upper") - c_g, 0.0) + rho * c_g
+    if mirror:
+        trusted = ys < np.asarray(preds)
+        c, side = upper_grad_coeff(spec), "lower"
+    else:
+        trusted = partition_upper(preds, ys)
+        c, side = lower_grad_coeff(spec), "upper"
+    coeff = np.where(trusted, dloss_df(spec, preds, ys, side) - c, 0.0) + rho * c
     grad = model.backward_weighted(cache, coeff)
     if lam > 0.0:
         grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, preds, up)
-
-
-def lu_batch_gradient(
-    model,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    spec: LossSpec,
-    rho: float,
-    lam: float = 0.0,
-    reg: str | None = "l2",
-    rng=None,
-) -> GradResult:
-    """Mirror of u2_batch_gradient for upward-only label corruption.
-
-    Rows with y_i < f_i keep the labeled lower-side term (ties f_i == y_i are
-    treated as upper and dropped from it); the upper side is rebuilt from the
-    constant c_u = d/df L_up on f < y, reweighted by rho, which stands for
-    the clean fraction exactly as in u2_batch_gradient. Unnormalized sums,
-    exactly like u2_batch_gradient.
-    """
-    _check_rho_lam(rho, lam)
-    ys = np.asarray(ys, dtype=float)
-    c_u = upper_grad_coeff(spec)
-    preds, cache = model.forward_train(xs, rng)
-    lo = ys < np.asarray(preds)
-    coeff = np.where(lo, dloss_df(spec, preds, ys, "lower") - c_u, 0.0) + rho * c_u
-    grad = model.backward_weighted(cache, coeff)
-    if lam > 0.0:
-        grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, preds, lo)
+    return GradResult(grad, preds, trusted)
 
 
 def naive_batch_gradient(
@@ -227,9 +208,7 @@ def population_gradient_oracle(
         raise ValueError("need at least two Monte-Carlo rows")
     X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
     preds, cache = model.forward_train(X, None)
-    up = partition_upper(preds, y)
-    coeff = np.where(up, dloss_df(spec, preds, y, "upper"),
-                     dloss_df(spec, preds, y, "lower"))
+    coeff = _two_sided_dloss(spec, preds, y, partition_upper(preds, y))
     grad = model.backward_weighted(cache, coeff / n_rows)
     if not with_se:
         return grad
@@ -313,26 +292,41 @@ def estimate_bias_diagnostics(
     if not (0.0 <= clean_fraction <= 1.0):
         raise ValueError("clean_fraction must lie in [0, 1]")
     ys = np.asarray(ys, dtype=float)
+    n_up, g_up, g_lo = _side_sums(model, xs, ys, spec)
+    return _side_gap(ys.size, n_up, g_up, g_lo, clean_fraction)
+
+
+def _two_sided_dloss(spec: LossSpec, preds, ys, up) -> np.ndarray:
+    """Per-row d/df of the full objective: upper kind on up rows, lower elsewhere."""
+    return np.where(up, dloss_df(spec, preds, ys, "upper"), dloss_df(spec, preds, ys, "lower"))
+
+
+def _side_sums(model, xs, ys, spec: LossSpec) -> tuple[int, np.ndarray, np.ndarray]:
+    """Partition one block of rows and sum the two-sided loss gradient per side.
+
+    Returns (n_up, g_up, g_lo): the trusted-row count and the unnormalized
+    gradient sums over trusted rows and over the rest. Sums from several
+    blocks add up to the sums over their union.
+    """
     preds, cache = model.forward_train(xs, None)
     up = partition_upper(preds, ys)
-    n = ys.size
-    n_up = int(up.sum())
-    if n_up == 0 or n_up == n:
+    coeff = _two_sided_dloss(spec, preds, ys, up)
+    g_up = model.backward_weighted(cache, np.where(up, coeff, 0.0))
+    g_lo = model.backward_weighted(cache, np.where(up, 0.0, coeff))
+    return int(up.sum()), g_up, g_lo
+
+
+def _side_gap(n_rows: int, n_up: int, g_up, g_lo, xi: float) -> BiasDiagnostics:
+    """eta, delta and the bias floor from per-side totals over n_rows rows."""
+    if n_up == 0 or n_up == n_rows:
         raise ValueError(
             "every row fell on one side of the partition; the side gap "
             "delta is not estimable (eta is degenerate)"
         )
-    coeff = np.where(up, dloss_df(spec, preds, ys, "upper"),
-                     dloss_df(spec, preds, ys, "lower"))
-    g_up = model.backward_weighted(cache, np.where(up, coeff, 0.0) / n_up)
-    g_lo = model.backward_weighted(cache, np.where(up, 0.0, coeff) / (n - n_up))
-    delta = float(np.max(np.abs(g_up - g_lo)))
-    eta = n_up / n
+    eta = n_up / n_rows
+    delta = float(np.max(np.abs(g_up / n_up - g_lo / (n_rows - n_up))))
     return BiasDiagnostics(
-        eta=eta,
-        xi=clean_fraction,
-        delta=delta,
-        bound=bias_lower_bound(eta, clean_fraction, delta),
-        n_rows=n,
-        n_upper=n_up,
+        eta=eta, xi=xi, delta=delta,
+        bound=bias_lower_bound(eta, xi, delta),
+        n_rows=n_rows, n_upper=n_up,
     )

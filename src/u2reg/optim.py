@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import (
-    GradResult,
-    lu_batch_gradient,
-    naive_batch_gradient,
-    u2_batch_gradient,
-)
+from .gradients import GradResult, naive_batch_gradient, u2_batch_gradient
 from .losses import LossKind, LossSpec, plain_loss_value
 from .rngutil import derive_rng
 
@@ -87,7 +82,6 @@ class TrainConfig:
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 20
-    shuffle: bool = True
     seed: int = 0
 
     def __post_init__(self):
@@ -127,11 +121,10 @@ class TrainResult:
 
 
 def _batch_grad(model, xs, ys, cfg: TrainConfig, rng) -> GradResult:
-    if cfg.method == "u2":
-        return u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng)
-    if cfg.method == "lu":
-        return lu_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng)
-    return naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng)
+    if cfg.method == "naive":
+        return naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng)
+    return u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng,
+                             mirror=cfg.method == "lu")
 
 
 def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> TrainResult:
@@ -165,10 +158,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     global_step = 0
 
     for epoch in range(cfg.max_epochs):
-        if cfg.shuffle:
-            order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
-        else:
-            order = np.arange(n)
+        order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         norms = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]

@@ -42,7 +42,7 @@ def test_documented_flags_are_available(capsys):
     stable = [
         "--task", "--n", "--d", "--beta", "--k", "--corruption-mode",
         "--model", "--method", "--rho", "--lambda", "--sigma",
-        "--batch-size", "--max-epochs", "--seed", "--jobs", "--out",
+        "--batch-size", "--max-epochs", "--seed", "--out",
     ]
     blob = ""
     for name in ARG_TABLE:
@@ -103,6 +103,17 @@ def test_corrupt_requires_true_labels(tmp_path, capsys):
     assert run("corrupt", "--data", path, "--k", "50",
                "--out", str(tmp_path / "o.csv")) == 1
     assert "y_true" in capsys.readouterr().err
+
+
+def test_train_rejects_a_nan_label(tmp_path, capsys):
+    path = str(tmp_path / "nan.csv")
+    with open(path, "w") as fh:
+        fh.write("x0,y_prime\n" + "".join(f"{i}.0,{i}.5\n" for i in range(9)) + "9.0,nan\n")
+    for method in ("u2", "lu", "mse"):
+        assert run("train", "--data", path, "--method", method, "--max-epochs", "1",
+                   "--out", str(tmp_path / "m.json")) == 1
+        assert "y_prime" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "m.json")
 
 
 # ---------------------------------------------------------------------------

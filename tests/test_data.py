@@ -329,6 +329,26 @@ def test_from_csv_rejects_malformed_headers(tmp_path):
             Dataset.from_csv(path)
 
 
+def test_dataset_rejects_non_finite_values():
+    xs, ys = np.zeros((3, 2)), np.zeros(3)
+    bad_x = xs.copy()
+    bad_x[1, 1] = np.inf
+    with pytest.raises(ValueError, match="x1"):
+        Dataset(bad_x, ys)
+    with pytest.raises(ValueError, match="y_prime"):
+        Dataset(xs, np.array([0.0, np.nan, 0.0]))
+    with pytest.raises(ValueError, match="y_true"):
+        Dataset(xs, ys, np.array([0.0, 0.0, -np.inf]))
+
+
+def test_from_csv_rejects_a_nan_label(tmp_path):
+    path = os.path.join(tmp_path, "nan.csv")
+    with open(path, "w") as fh:
+        fh.write("x0,y_prime\n1.0,2.0\n3.0,nan\n")
+    with pytest.raises(ValueError, match="y_prime"):
+        Dataset.from_csv(path)
+
+
 def test_dataset_subset_carries_all_columns():
     p = proc(2, seed=21, k_percent=50.0)
     ds = corrupt(generate_uncorrupted(p, 20, 1), p, 2)

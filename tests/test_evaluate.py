@@ -13,6 +13,7 @@ from u2reg import (
     LossSpec,
     SyntheticProcess,
     corrupt,
+    estimate_bias_diagnostics,
     estimate_eta_xi_delta,
     generate_uncorrupted,
     grid_search,
@@ -277,18 +278,6 @@ def test_benchmark_report_is_byte_deterministic():
     assert r1.to_points_csv(50.0) == r2.to_points_csv(50.0)
 
 
-def test_benchmark_threaded_matches_serial():
-    task = BenchmarkTask.named("low-noise", n=150, d=3)
-    kw = dict(
-        methods=["mse", "mae"], k_list=[25.0, 50.0], folds=2, seeds=3,
-        grid=GridSpec(rhos=(1.0,), lams=(1e-2,), sigmas=(1.0,)),
-        max_epochs=4, patience=4,
-    )
-    serial = run_benchmark(task, jobs=1, **kw)
-    threaded = run_benchmark(task, jobs=4, **kw)
-    assert serial.to_json() == threaded.to_json()
-
-
 def test_benchmark_report_accessors_and_points():
     task = BenchmarkTask.named("low-noise", n=120, d=3)
     rep = run_benchmark(
@@ -384,6 +373,19 @@ def test_eta_xi_delta_matches_single_chunk_replay():
     assert diag.bound == pytest.approx(
         bias_lower_bound(diag.eta, 0.7, delta), rel=1e-12
     )
+
+
+def test_side_gap_entry_points_agree_on_the_same_rows():
+    p = SyntheticProcess.draw(3, derive_seed(74, "etest-proc"), k_percent=30.0)
+    model = LinearModel(3, np.append(p.weights * 0.5, -0.2))
+    n_mc, seed = 10000, 6
+    mc = estimate_eta_xi_delta(p, model, SQ_ABS, n_mc, seed)
+    X, y = p.draw_clean(n_mc, derive_rng(seed, "eta-xi-delta"))  # one chunk
+    rows = estimate_bias_diagnostics(model, X, y, SQ_ABS, clean_fraction=mc.xi)
+    assert rows.n_upper == mc.n_upper
+    assert rows.eta == mc.eta
+    assert rows.delta == pytest.approx(mc.delta, rel=1e-12)
+    assert rows.bound == pytest.approx(mc.bound, rel=1e-12)
 
 
 def test_eta_xi_delta_rejects_degenerate_models():

@@ -12,7 +12,6 @@ from u2reg import (
     SyntheticProcess,
     bias_lower_bound,
     estimate_bias_diagnostics,
-    lu_batch_gradient,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -159,7 +158,7 @@ def test_lu_all_upper_is_pure_unlabeled_term():
     model = LinearModel(1, np.array([1.0, 0.0]))
     xs = np.array([[1.0], [2.0]])
     ys = np.array([5.0, 5.0])  # everything above the fit: labeled set empty
-    res = lu_batch_gradient(model, xs, ys, ABS_ABS, rho=1.0, lam=0.0)
+    res = u2_batch_gradient(model, xs, ys, ABS_ABS, rho=1.0, lam=0.0, mirror=True)
     sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
     assert np.array_equal(res.grad, upper_grad_coeff(ABS_ABS) * sum_jac)
     assert not res.trusted.any()
@@ -167,7 +166,8 @@ def test_lu_all_upper_is_pure_unlabeled_term():
 
 def test_lu_single_lower_row():
     model = LinearModel(1, np.array([1.0, 0.0]))
-    res = lu_batch_gradient(model, np.array([[3.0]]), np.array([1.0]), ABS_ABS, rho=0.0)
+    res = u2_batch_gradient(model, np.array([[3.0]]), np.array([1.0]), ABS_ABS, rho=0.0,
+                            mirror=True)
     # f = 3 > y = 1: coeff = dL_lo - c_u = 1 - (-1) = 2 on that single row
     assert np.array_equal(res.grad, 2.0 * np.array([3.0, 1.0]))
     assert res.trusted.tolist() == [True]
@@ -175,7 +175,8 @@ def test_lu_single_lower_row():
 
 def test_lu_tie_row_is_not_in_the_labeled_set():
     model = LinearModel(1, np.array([1.0, 0.0]))
-    res = lu_batch_gradient(model, np.array([[2.0]]), np.array([2.0]), ABS_ABS, rho=1.0)
+    res = u2_batch_gradient(model, np.array([[2.0]]), np.array([2.0]), ABS_ABS, rho=1.0,
+                            mirror=True)
     assert res.trusted.tolist() == [False]
     assert np.array_equal(res.grad, -1.0 * np.array([2.0, 1.0]))
 
@@ -188,7 +189,8 @@ def test_lu_mirrors_u2_on_negated_data(seed, n, rho):
     xs = rng.standard_normal((n, 2))
     ys = rng.standard_normal(n) * 2.0
     g_u2 = u2_batch_gradient(LinearModel(2, theta), xs, ys, ABS_ABS, rho, 0.01, "l2")
-    g_lu = lu_batch_gradient(LinearModel(2, -theta), xs, -ys, ABS_ABS, rho, 0.01, "l2")
+    g_lu = u2_batch_gradient(LinearModel(2, -theta), xs, -ys, ABS_ABS, rho, 0.01, "l2",
+                             mirror=True)
     assert np.allclose(g_lu.grad, -g_u2.grad, atol=1e-10)
 
 

@@ -263,7 +263,7 @@ def test_partition_is_refreshed_from_the_current_model():
     masks = []
     cfg = TrainConfig(method="u2", spec=SQ_ABS, rho=1.0, lam=0.0,
                       adam=AdamParams(lr=0.05), batch_size=40, max_epochs=60,
-                      patience=60, shuffle=False, seed=0)
+                      patience=60, seed=0)
     train(LinearModel(2), ds, ds, cfg,
           step_callback=lambda s, m, g: masks.append(g.trusted.copy()))
     assert masks[0].all()
