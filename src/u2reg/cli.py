@@ -117,6 +117,14 @@ _MODEL_ARGS = [
     _arg("--dropout", type=float, default=0.5, help="mlp dropout rate"),
 ]
 
+# benchmark trains every method with its default losses and Adam settings and
+# takes each rbf width from --sigma-grid, so these train flags would do nothing
+_TRAIN_ONLY = ("--upper-loss", "--lower-loss", "--lr", "--sigma")
+_BENCHMARK_TRAIN_ARGS = [
+    (flags, kwargs) for flags, kwargs in _LOSS_ARGS + _MODEL_ARGS + _TRAIN_LOOP_ARGS
+    if flags[0] not in _TRAIN_ONLY
+]
+
 ARG_TABLE = {
     "generate": {
         "help": "draw a synthetic dataset (optionally corrupted) and write it as CSV",
@@ -182,7 +190,7 @@ ARG_TABLE = {
             *_process_args("50"),
             _arg("--folds", type=int, default=5, help="cross-validation folds"),
             _arg("--val-fraction", type=float, default=0.2, help="validation share"),
-            *_LOSS_ARGS, *_MODEL_ARGS, *_TRAIN_LOOP_ARGS,
+            *_BENCHMARK_TRAIN_ARGS,
             _arg("--rho-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
                  help="rho candidates, comma separated"),
             _arg("--lam-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
@@ -228,9 +236,10 @@ def _build_parser(suppress: bool) -> _Parser:
     parser = _Parser(prog="u2reg", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command")
     for name, info in ARG_TABLE.items():
+        # no prefix matching: benchmark would otherwise read --sigma as --sigma-grid
         sub = subs.add_parser(
             name, help=info["help"], description=info["help"],
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+            formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False,
         )
         for flags, kwargs in info["args"]:
             kw = dict(kwargs)
@@ -522,10 +531,13 @@ def _run_benchmark(opts: dict) -> int:
         lams=tuple(_float_list(opts["lam_grid"], "--lam-grid")),
         sigmas=tuple(_float_list(opts["sigma_grid"], "--sigma-grid")),
     )
+    # grid_search gives each rbf cell its own width from --sigma-grid; the
+    # first value only satisfies ArchSpec
+    arch = _arch_from({**opts, "sigma": grid.sigmas[0]})
     report = run_benchmark(
         task, methods, k_list,
         folds=int(opts["folds"]), seeds=int(opts["seed"]),
-        val_fraction=float(opts["val_fraction"]), grid=grid, arch=_arch_from(opts),
+        val_fraction=float(opts["val_fraction"]), grid=grid, arch=arch,
         batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),
         patience=int(opts["patience"]), huber_delta=float(opts["huber_delta"]),
         reg=_reg_from(opts),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -362,7 +363,7 @@ def run_benchmark(
     methods: list[str],
     k_list: list[float],
     folds: int = 5,
-    seeds: int | list[int] = 7,
+    seeds: int = 7,
     val_fraction: float = 0.2,
     grid: GridSpec | None = None,
     arch: ArchSpec | None = None,
@@ -372,113 +373,80 @@ def run_benchmark(
     huber_delta: float = 1.0,
     reg: str | None = "l2",
 ) -> BenchmarkReport:
-    """Full corruption-to-report pipeline, deterministic per seed list.
+    """Full corruption-to-report pipeline, deterministic per root seed.
 
-    Per (seed, K, fold, method): generate or load, corrupt, split, feature
-    standardize, grid search, retrain implicitly inside the search, then
-    score the chosen model on the fold's clean-only test rows. Synthetic
-    scores are against ys_true; CSV tasks without a y_true column fall back
-    to ys_prime and say so in target_label. Failures are recorded per item
-    and the run continues.
+    ``seeds`` is one int (the report lists it as ``seeds=[seed]``). The task
+    is generated or loaded once. Then, per K: corrupt, split into folds and
+    feature-standardize each fold; per method and fold: grid search (which
+    trains each cell), then score the chosen model on the fold's clean-only
+    test rows. Synthetic scores are against ys_true; CSV tasks without a
+    y_true column fall back to ys_prime and say so in target_label. A
+    failing (K, method, fold) item is recorded in errors and the run
+    continues. Synthetic K values are coerced to float, so 50 and 50.0 draw
+    the same streams; a repeated method or K is rejected.
     """
     grid = grid or GridSpec()
     arch = arch or ArchSpec("linear")
-    seed_list = [int(seeds)] if isinstance(seeds, (int, np.integer)) else [int(s) for s in seeds]
+    seed = operator.index(seeds)
     for m in methods:
         if m not in METHOD_NAMES:
             raise ValueError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
-    if not task.is_synthetic:
-        k_list = [None]
-    k_list = list(k_list)
+    k_list = [float(k) for k in k_list] if task.is_synthetic else [None]
+    for what, values in (("method", list(methods)), ("K", k_list)):
+        for i, value in enumerate(values):
+            if value in values[:i]:
+                raise ValueError(f"{what} {value!r} is listed more than once")
 
-    base_data: dict[int, Dataset] = {}
-    process: dict[int, SyntheticProcess] = {}
-    target_label = "y_true"
     if task.is_synthetic:
-        for seed in seed_list:
-            process[seed] = SyntheticProcess.draw(
-                task.d, derive_seed(seed, "benchmark-process", task.name),
-                beta=task.beta, k_percent=0.0,
-                mode=task.corruption_mode, corruption_scale=task.corruption_scale,
-            )
-            base_data[seed] = generate_uncorrupted(
-                process[seed], task.n, derive_seed(seed, "benchmark-data", task.name)
-            )
-    else:
-        loaded = Dataset.from_csv(task.csv_path)
-        if loaded.ys_true is None:
-            target_label = "y_prime"
-        for seed in seed_list:
-            base_data[seed] = loaded
-
-    work = []
-    for seed in seed_list:
-        for k in k_list:
-            if task.is_synthetic:
-                proc_k = replace(process[seed], k_percent=float(k))
-                ds = corrupt(base_data[seed], proc_k,
-                             derive_seed(seed, "benchmark-corrupt", task.name, k))
-            else:
-                ds = base_data[seed]
-            splits = split_cv(ds, folds, val_fraction,
-                              derive_seed(seed, "benchmark-splits", task.name))
-            for fold, (tr, va, te) in enumerate(splits):
-                tr_s, (va_s, te_s), _ = standardize(tr, (va, te))
-                for method in methods:
-                    work.append((seed, k, fold, method, tr_s, va_s, te_s))
-
-    def run_item(item):
-        seed, k, fold, method, tr_s, va_s, te_s = item
-        run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
-        template = method_train_config(
-            method, rho=1.0, lam=0.0, huber_delta=huber_delta, reg=reg,
-            batch_size=min(batch_size, len(tr_s)), max_epochs=max_epochs,
-            patience=patience, seed=run_seed,
+        process = SyntheticProcess.draw(
+            task.d, derive_seed(seed, "benchmark-process", task.name),
+            beta=task.beta, k_percent=0.0,
+            mode=task.corruption_mode, corruption_scale=task.corruption_scale,
         )
-        search = grid_search(tr_s, va_s, arch, method, grid, template, seed=run_seed)
-        preds = search.best_result.model.predict_batch(te_s.xs)
-        target = te_s.ys_true if (te_s.ys_true is not None and target_label == "y_true") else te_s.ys_prime
-        scale = task.label_scale
-        rows = [
-            {
-                "k": k, "method": method, "fold": fold, "seed": seed,
-                "y_true": float(t) / scale, "y_pred": float(p) / scale,
-                "error": float(p - t) / scale,
-            }
-            for t, p in zip(target, preds)
-        ]
-        return {
-            "mae_raw": mae(target, preds),
-            "mae": mae(target, preds) / scale,
-            "signed": mean_signed_error(target, preds) / scale,
-            "hyper": search.best.as_dict(),
-            "rows": rows,
-        }
-
-    results: dict[tuple, dict] = {}
-    errors: list[str] = []
-    for item in work:
-        key = item[:4]
-        try:
-            results[key] = run_item(item)
-        except Exception as exc:
-            errors.append(f"seed={key[0]} k={key[1]} fold={key[2]} method={key[3]}: {exc!r}")
+        data = generate_uncorrupted(process, task.n, derive_seed(seed, "benchmark-data", task.name))
+    else:
+        data = Dataset.from_csv(task.csv_path)
+    target_label = "y_true" if data.ys_true is not None else "y_prime"
+    scale = task.label_scale
 
     summaries: list[MethodSummary] = []
     points: list[dict] = []
+    errors: list[str] = []
     for k in k_list:
+        ds = data
+        if task.is_synthetic:
+            ds = corrupt(data, replace(process, k_percent=k),
+                         derive_seed(seed, "benchmark-corrupt", task.name, k))
+        splits = split_cv(ds, folds, val_fraction, derive_seed(seed, "benchmark-splits", task.name))
+        fold_sets = [standardize(tr, (va, te)) for tr, va, te in splits]
         for method in methods:
             maes, signed, maes_raw, hyper = [], [], [], []
-            for seed in seed_list:
-                for fold in range(folds):
-                    res = results.get((seed, k, fold, method))
-                    if res is None:
-                        continue
-                    maes.append(res["mae"])
-                    signed.append(res["signed"])
-                    maes_raw.append(res["mae_raw"])
-                    hyper.append(res["hyper"])
-                    points.extend(res["rows"])
+            for fold, (tr_s, (va_s, te_s), _) in enumerate(fold_sets):
+                run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
+                try:
+                    template = method_train_config(
+                        method, rho=1.0, lam=0.0, huber_delta=huber_delta, reg=reg,
+                        batch_size=min(batch_size, len(tr_s)), max_epochs=max_epochs,
+                        patience=patience, seed=run_seed,
+                    )
+                    search = grid_search(tr_s, va_s, arch, method, grid, template, seed=run_seed)
+                    preds = search.best_result.model.predict_batch(te_s.xs)
+                    target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
+                    fold_mae = mae(target, preds)
+                    fold_signed = mean_signed_error(target, preds)
+                except Exception as exc:
+                    errors.append(f"seed={seed} k={k} fold={fold} method={method}: {exc!r}")
+                    continue
+                maes.append(fold_mae / scale)
+                signed.append(fold_signed / scale)
+                maes_raw.append(fold_mae)
+                hyper.append(search.best.as_dict())
+                points.extend(
+                    {"k": k, "method": method, "fold": fold, "seed": seed,
+                     "y_true": float(t) / scale, "y_pred": float(p) / scale,
+                     "error": float(p - t) / scale}
+                    for t, p in zip(target, preds)
+                )
             if not maes:
                 continue
             mean_m, se_m = _mean_se(maes)
@@ -491,21 +459,10 @@ def run_benchmark(
     errors.sort()
 
     return BenchmarkReport(
-        task=task.name,
-        target_label=target_label,
-        n=task.n if task.is_synthetic else len(next(iter(base_data.values()))),
-        d=task.d if task.is_synthetic else next(iter(base_data.values())).dim,
-        beta=task.beta,
+        task=task.name, target_label=target_label, n=len(data), d=data.dim, beta=task.beta,
         corruption_scale=task.corruption_scale if task.is_synthetic else None,
-        label_scale=task.label_scale,
-        folds=folds,
-        val_fraction=val_fraction,
-        seeds=seed_list,
-        methods=list(methods),
-        k_list=k_list,
-        summaries=summaries,
-        errors=errors,
-        points=points,
+        label_scale=scale, folds=folds, val_fraction=val_fraction, seeds=[seed],
+        methods=list(methods), k_list=k_list, summaries=summaries, errors=errors, points=points,
     )
 
 

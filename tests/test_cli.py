@@ -314,6 +314,37 @@ def test_benchmark_stdout_report(capsys):
     assert payload["n"] == 60
 
 
+def test_benchmark_rejects_train_only_flags(tmp_path, capsys):
+    small = ["--n", "40", "--d", "2", "--folds", "2", "--methods", "mse", "--max-epochs", "1"]
+    assert run("benchmark", "--lr", "0.5", *small) == 1
+    for flag, value in (("--upper-loss", "pinball:0.3"), ("--lower-loss", "pinball:0.3"),
+                        ("--sigma", "1")):
+        assert run("benchmark", flag, value, *small) == 1
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"lr": 0.5}))
+    assert run("benchmark", "--config", str(config), *small) == 1
+    assert "unknown config keys for 'benchmark': lr" in capsys.readouterr().err
+
+
+def test_benchmark_rbf_runs_with_sigma_grid_alone(capsys):
+    assert run(
+        "benchmark", "--model", "rbf", "--sigma-grid", "1,2", "--n", "60", "--d", "2",
+        "--folds", "2", "--methods", "mse", "--k", "50", "--max-epochs", "1",
+        "--patience", "1", "--lam-grid", "0.01",
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["errors"] == []
+    assert {h["sigma"] for h in payload["summaries"][0]["fold_hyper"]} <= {1.0, 2.0}
+
+
+def test_benchmark_repeated_method_or_k_exits_one(capsys):
+    small = ["--n", "100", "--folds", "2", "--max-epochs", "1"]
+    assert run("benchmark", "--methods", "mse,mse", "--k", "50", *small) == 1
+    assert "method 'mse' is listed more than once" in capsys.readouterr().err
+    assert run("benchmark", "--methods", "mse", "--k", "50,50", *small) == 1
+    assert "K 50.0 is listed more than once" in capsys.readouterr().err
+
+
 def test_unexpected_runtime_failure_maps_to_exit_two(monkeypatch, capsys):
     import u2reg.cli as cli
 

@@ -329,6 +329,86 @@ def test_benchmark_empty_methods_gives_empty_summaries():
     assert rep.errors == []
 
 
+def test_benchmark_takes_one_int_seed():
+    task = BenchmarkTask.named("low-noise", n=60, d=2)
+    with pytest.raises(TypeError):
+        run_benchmark(task, ["mse"], [50.0], folds=2, seeds=[1, 2], max_epochs=1)
+
+
+def test_benchmark_rejects_a_repeated_method_or_k():
+    task = BenchmarkTask.named("low-noise", n=100, d=2)
+    with pytest.raises(ValueError, match="method 'mse' is listed more than once"):
+        run_benchmark(task, ["mse", "u2", "mse"], [50.0], folds=2, seeds=1, max_epochs=1)
+    with pytest.raises(ValueError, match="K 50.0 is listed more than once"):
+        run_benchmark(task, ["mse"], [50.0, 25.0, 50], folds=2, seeds=1, max_epochs=1)
+
+
+def test_benchmark_k_type_does_not_change_the_data():
+    # the seed labels hash repr(k), so an int K must not draw other streams
+    task = BenchmarkTask.named("low-noise", n=200, d=5)
+    kw = dict(folds=2, seeds=1, max_epochs=3, patience=3)
+    as_int = run_benchmark(task, ["mse"], [50], **kw)
+    as_float = run_benchmark(task, ["mse"], [50.0], **kw)
+    assert as_int.to_json() == as_float.to_json()
+
+
+def test_benchmark_isolates_a_failing_item(monkeypatch):
+    import u2reg.evaluate as ev
+
+    real_search = ev.grid_search
+
+    def flaky(tr, va, arch, method, grid, template, seed=0):
+        if method == "mse":
+            raise RuntimeError("boom")
+        return real_search(tr, va, arch, method, grid, template, seed=seed)
+
+    monkeypatch.setattr(ev, "grid_search", flaky)
+    task = BenchmarkTask.named("low-noise", n=120, d=3)
+    rep = ev.run_benchmark(
+        task, ["u2", "mse"], [50.0], folds=3, seeds=2,
+        grid=GridSpec(rhos=(1.0,), lams=(1e-2,), sigmas=(1.0,)), max_epochs=2, patience=2,
+    )
+    assert rep.errors == [
+        f"seed=2 k=50.0 fold={fold} method=mse: RuntimeError('boom')" for fold in range(3)
+    ]
+    assert len(rep.summary("u2", 50.0).fold_maes) == 3
+    with pytest.raises(KeyError):
+        rep.summary("mse", 50.0)
+    assert {p["method"] for p in rep.points} == {"u2"}
+
+
+def test_benchmark_fold_score_replays_from_its_seed_labels():
+    task = BenchmarkTask.named("low-noise", n=150, d=3)
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(1.0,))
+    seed, k, fold, method = 4, 50.0, 1, "u2"
+    rep = run_benchmark(
+        task, ["mse", method], [25.0, k], folds=2, seeds=seed, grid=grid,
+        max_epochs=3, patience=3,
+    )
+
+    process = SyntheticProcess.draw(
+        task.d, derive_seed(seed, "benchmark-process", task.name), beta=task.beta,
+        k_percent=0.0, corruption_scale=task.corruption_scale,
+    )
+    clean = generate_uncorrupted(process, task.n, derive_seed(seed, "benchmark-data", task.name))
+    ds = corrupt(clean, replace(process, k_percent=k),
+                 derive_seed(seed, "benchmark-corrupt", task.name, k))
+    tr, va, te = split_cv(ds, 2, 0.2, derive_seed(seed, "benchmark-splits", task.name))[fold]
+    tr_s, (va_s, te_s), _ = standardize(tr, (va, te))
+    run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
+    template = method_train_config(
+        method, rho=1.0, lam=0.0, batch_size=min(32, len(tr_s)), max_epochs=3,
+        patience=3, seed=run_seed,
+    )
+    search = grid_search(tr_s, va_s, ArchSpec("linear"), method, grid, template, seed=run_seed)
+    preds = search.best_result.model.predict_batch(te_s.xs)
+
+    summary = rep.summary(method, k)
+    assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
+    assert summary.fold_signed[fold] == mean_signed_error(te_s.ys_true, preds) / task.label_scale
+    assert summary.fold_hyper[fold] == search.best.as_dict()
+
+
 # ---------------------------------------------------------------------------
 # bias-floor ingredients from clean Monte-Carlo draws
 # ---------------------------------------------------------------------------
