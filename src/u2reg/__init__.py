@@ -27,14 +27,12 @@ from .evaluate import (
     grid_search,
     mae,
     mean_signed_error,
-    method_train_config,
     run_benchmark,
 )
 from .gradients import (
     BiasDiagnostics,
     GradResult,
     bias_lower_bound,
-    estimate_bias_diagnostics,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -64,10 +62,10 @@ __all__ = [
     "LinearModel", "LossKind", "LossSpec", "MlpModel", "RbfLinearModel",
     "SyntheticProcess", "TrainConfig", "TrainResult", "adam_init", "adam_step",
     "bias_lower_bound", "corrupt", "derive_rng", "derive_seed", "dloss_df",
-    "estimate_bias_diagnostics", "estimate_eta_xi_delta", "generate_uncorrupted",
+    "estimate_eta_xi_delta", "generate_uncorrupted",
     "grid_search", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
-    "mean_signed_error", "method_train_config", "naive_batch_gradient",
+    "mean_signed_error", "naive_batch_gradient",
     "param_jacobian", "partition_upper", "population_gradient_oracle",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
     "train", "u2_batch_gradient", "u2_dataset_gradient_estimate",

@@ -30,17 +30,7 @@ from .data import (
     window_features,
     WINDOW_STATS,
 )
-from .evaluate import (
-    BenchmarkTask,
-    GridSpec,
-    LU_DEFAULT_SPEC,
-    METHOD_NAMES,
-    TASK_BETAS,
-    U2_DEFAULT_SPEC,
-    estimate_eta_xi_delta,
-    method_train_config,
-    run_benchmark,
-)
+from .evaluate import BenchmarkTask, GridSpec, TASK_BETAS, estimate_eta_xi_delta, run_benchmark
 from .losses import LossSpec, parse_loss_kind
 from .models import (
     ArchSpec,
@@ -50,7 +40,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .optim import AdamParams, train
+from .optim import DEFAULT_SPECS, METHODS, AdamParams, TrainConfig, train
 from .rngutil import derive_rng, derive_seed
 
 
@@ -94,9 +84,9 @@ def _process_args(k_default: str):
 
 _LOSS_ARGS = [
     _arg("--upper-loss", type=str, default=None,
-         help="upper-side loss (squared|absolute|pinball:T|huber:D); default per method"),
+         help="u2/lu upper-side loss (squared|absolute|pinball:T|huber:D); default per method"),
     _arg("--lower-loss", type=str, default=None,
-         help="lower-side loss (absolute|pinball:T for u2); default per method"),
+         help="u2/lu lower-side loss (absolute|pinball:T); default per method"),
     _arg("--huber-delta", type=float, default=1.0, help="huber threshold for --method huber"),
 ]
 
@@ -262,6 +252,7 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
         defaults[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
     opts = dict(defaults)
+    config = {}
     config_path = explicit.get("config", None)
     if config_path:
         try:
@@ -278,7 +269,23 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
             raise CliError(f"unknown config keys for '{command}': {', '.join(unknown)}")
         opts.update(config)
     opts.update(explicit)
+    _reject_ignored(command, opts, set(config) | set(explicit))
     return command, opts
+
+
+def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
+    """Fail on a flag (or config key) that this run would silently ignore."""
+    if command == "benchmark" and opts.get("data"):
+        ignored = [flags[0] for flags, _ in _process_args("50")]
+        why = "with --data (the CSV fixes the rows, labels and corruption)"
+    elif command == "train" and opts["method"] in METHODS and opts["method"] not in DEFAULT_SPECS:
+        ignored = ["--upper-loss", "--lower-loss"]
+        why = f"with --method {opts['method']} (a baseline trains one loss on every label)"
+    else:
+        return
+    for flag in ignored:
+        if flag.lstrip("-").replace("-", "_") in given:
+            raise CliError(f"{flag} has no effect {why}")
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +407,7 @@ def _loss_spec_for(opts: dict, method: str) -> LossSpec | None:
     upper, lower = opts.get("upper_loss"), opts.get("lower_loss")
     if upper is None and lower is None:
         return None
-    defaults = {"u2": U2_DEFAULT_SPEC, "lu": LU_DEFAULT_SPEC}[method]
+    defaults = DEFAULT_SPECS[method]
     return LossSpec.parse(upper or defaults[0], lower or defaults[1])
 
 
@@ -424,7 +431,7 @@ def _reg_from(opts: dict) -> str | None:
 def _run_train(opts: dict) -> int:
     data_path = _require(opts, "data", "--data")
     out = _require(opts, "out", "--out")
-    method = _choice(opts["method"], "--method", METHOD_NAMES)
+    method = _choice(opts["method"], "--method", METHODS)
     seed = int(opts["seed"])
     full = Dataset.from_csv(data_path)
     if opts.get("val_data"):
@@ -448,10 +455,10 @@ def _run_train(opts: dict) -> int:
         stats_extra = {}
 
     arch = _arch_from(opts)
-    cfg = method_train_config(
+    cfg = TrainConfig(
         method,
+        spec=_loss_spec_for(opts, method),
         rho=float(opts["rho"]), lam=float(opts["lam"]),
-        spec=_loss_spec_for(opts, method) if method in ("u2", "lu") else None,
         huber_delta=float(opts["huber_delta"]), reg=_reg_from(opts),
         adam=AdamParams(lr=float(opts["lr"])),
         batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),

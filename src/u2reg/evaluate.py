@@ -21,9 +21,9 @@ import numpy as np
 
 from .data import Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv, standardize
 from .gradients import BiasDiagnostics, _side_gap, _side_sums
-from .losses import LossKind, LossSpec
+from .losses import LossSpec
 from .models import ArchSpec, init_model
-from .optim import AdamParams, TrainConfig, TrainResult, train
+from .optim import METHODS, TrainConfig, TrainResult, train
 from .rngutil import derive_rng, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -98,73 +98,28 @@ class GridSearchResult:
     cells: list[CellResult]
 
 
-METHOD_NAMES = ("u2", "lu", "mse", "mae", "huber")
-U2_DEFAULT_SPEC = ("squared", "absolute")
-# LU needs a label-free upper side, and the LossSpec constructor needs a
-# label-free lower side, so its default is absolute on both.
-LU_DEFAULT_SPEC = ("absolute", "absolute")
-
-
-def method_train_config(
-    method: str,
-    rho: float,
-    lam: float,
-    *,
-    spec: LossSpec | None = None,
-    huber_delta: float = 1.0,
-    reg: str | None = "l2",
-    adam: AdamParams | None = None,
-    batch_size: int = 32,
-    max_epochs: int = 500,
-    patience: int = 20,
-    seed: int = 0,
-) -> TrainConfig:
-    """TrainConfig for a method name, with per-method default losses.
-
-    u2 defaults to squared upper / absolute lower; lu defaults to absolute
-    on both sides (its label-free side sits above the fit, and LossSpec
-    still wants a label-free lower side). mse / mae / huber are the
-    label-trusting baselines.
-    """
-    if method not in METHOD_NAMES:
-        raise ValueError(f"method must be one of {METHOD_NAMES}, got {method!r}")
-    common = dict(
-        rho=rho, lam=lam, reg=reg, adam=adam or AdamParams(),
-        batch_size=batch_size, max_epochs=max_epochs, patience=patience, seed=seed,
-    )
-    if method == "u2":
-        return TrainConfig("u2", spec=spec or LossSpec.parse(*U2_DEFAULT_SPEC), **common)
-    if method == "lu":
-        return TrainConfig("lu", spec=spec or LossSpec.parse(*LU_DEFAULT_SPEC), **common)
-    kind = {
-        "mse": LossKind("squared"),
-        "mae": LossKind("absolute"),
-        "huber": LossKind("huber", huber_delta),
-    }[method]
-    return TrainConfig("naive", naive_kind=kind, **common)
-
-
 def grid_search(
     train_ds: Dataset,
     val_ds: Dataset,
     arch: ArchSpec,
-    method: str,
     grid: GridSpec,
     template: TrainConfig,
     seed: int = 0,
 ) -> GridSearchResult:
     """Train one model per grid cell and return the best validation cell.
 
-    Each cell is ranked on the best validation_loss its run reached: the
-    baselines on the loss they train, u2 and lu on absolute error against
-    the observed labels. The grid is the Cartesian product of sigma (rbf
-    models only), rho (corrected methods only) and lambda. Ties break toward
+    Every cell trains template (its method, losses and loop settings) with
+    the cell's rho, lambda and seed. Each cell is ranked on the best
+    validation_loss its run reached: the baselines on the loss they train,
+    u2 and lu on absolute error against the observed labels. The grid is
+    the Cartesian product of sigma (rbf models only), rho (u2 and lu only)
+    and lambda. Ties break toward
     smaller lambda, then smaller rho, then smaller sigma, then declaration
     order. A cell whose training raises is disqualified but recorded; the
     search only fails if every cell does.
     """
     sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
-    rhos = grid.rhos if template.method in ("u2", "lu") else (None,)
+    rhos = grid.rhos if template.naive_kind is None else (None,)
     cells: list[CellResult] = []
     outcomes: list[TrainResult | None] = []
     index = 0
@@ -378,9 +333,11 @@ def run_benchmark(
     ``seeds`` is one int (the report lists it as ``seeds=[seed]``). The task
     is generated or loaded once. Then, per K: corrupt, split into folds and
     feature-standardize each fold; per method and fold: grid search (which
-    trains each cell), then score the chosen model on the fold's clean-only
-    test rows. Synthetic scores are against ys_true; CSV tasks without a
-    y_true column fall back to ys_prime and say so in target_label. A
+    trains each cell of a TrainConfig(method, ...) template, so u2 and lu
+    use their default losses and huber uses huber_delta), then score the
+    chosen model on the fold's clean-only test rows. Synthetic scores are
+    against ys_true; CSV tasks without a y_true column fall back to
+    ys_prime and say so in target_label. A
     failing (K, method, fold) item is recorded in errors and the run
     continues. Synthetic K values are coerced to float, so 50 and 50.0 draw
     the same streams; a repeated method or K is rejected.
@@ -389,8 +346,8 @@ def run_benchmark(
     arch = arch or ArchSpec("linear")
     seed = operator.index(seeds)
     for m in methods:
-        if m not in METHOD_NAMES:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHOD_NAMES}")
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
     k_list = [float(k) for k in k_list] if task.is_synthetic else [None]
     for what, values in (("method", list(methods)), ("K", k_list)):
         for i, value in enumerate(values):
@@ -424,12 +381,12 @@ def run_benchmark(
             for fold, (tr_s, (va_s, te_s), _) in enumerate(fold_sets):
                 run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
                 try:
-                    template = method_train_config(
-                        method, rho=1.0, lam=0.0, huber_delta=huber_delta, reg=reg,
+                    template = TrainConfig(
+                        method, huber_delta=huber_delta, reg=reg,
                         batch_size=min(batch_size, len(tr_s)), max_epochs=max_epochs,
                         patience=patience, seed=run_seed,
                     )
-                    search = grid_search(tr_s, va_s, arch, method, grid, template, seed=run_seed)
+                    search = grid_search(tr_s, va_s, arch, grid, template, seed=run_seed)
                     preds = search.best_result.model.predict_batch(te_s.xs)
                     target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
                     fold_mae = mae(target, preds)

@@ -200,12 +200,15 @@ def population_gradient_oracle(
     kind where f > y. Fresh clean rows come from process.draw_clean, so this
     never sees corruption; it is the ground truth the corrected estimators
     are judged against. Returns grad, or (grad, se) with per-coordinate
-    standard errors of the Monte-Carlo mean.
+    standard errors of the Monte-Carlo mean; with_se needs a model with
+    param_jacobian_batch (linear or rbf).
     """
     from .rngutil import derive_rng
 
     if n_rows < 2:
         raise ValueError("need at least two Monte-Carlo rows")
+    if with_se and not hasattr(model, "param_jacobian_batch"):
+        raise ValueError(f"with_se needs per-row Jacobians, which a {model.kind} model lacks")
     X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
     preds, cache = model.forward_train(X, None)
     coeff = _two_sided_dloss(spec, preds, y, partition_upper(preds, y))
@@ -220,19 +223,11 @@ def _per_coordinate_se(model, X, coeff, mean_grad) -> np.ndarray:
     """Standard error of the mean per-row gradient, coordinatewise."""
     n_rows = coeff.size
     sq = np.zeros_like(mean_grad)
-    if hasattr(model, "param_jacobian_batch"):
-        chunk = 65536
-        for start in range(0, n_rows, chunk):
-            stop = min(start + chunk, n_rows)
-            G = coeff[start:stop, None] * model.param_jacobian_batch(X[start:stop])
-            sq += (G * G).sum(axis=0)
-    else:
-        for i in range(n_rows):
-            g_i = model.backward_weighted(
-                model.forward_train(X[i : i + 1], None)[1],
-                np.array([coeff[i]]),
-            )
-            sq += g_i * g_i
+    chunk = 65536
+    for start in range(0, n_rows, chunk):
+        stop = min(start + chunk, n_rows)
+        G = coeff[start:stop, None] * model.param_jacobian_batch(X[start:stop])
+        sq += (G * G).sum(axis=0)
     var = sq / n_rows - mean_grad * mean_grad
     return np.sqrt(np.maximum(var, 0.0) / n_rows)
 
@@ -273,27 +268,6 @@ class BiasDiagnostics:
     bound: float
     n_rows: int
     n_upper: int
-
-
-def estimate_bias_diagnostics(
-    model,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    spec: LossSpec,
-    clean_fraction: float,
-) -> BiasDiagnostics:
-    """Plug-in eta, delta and the resulting bias floor on a dataset.
-
-    eta is the trusted-row fraction under the current model; delta is the
-    max-norm gap between the mean two-sided loss gradient on trusted rows
-    and on the rest. Both sides must be nonempty, otherwise the gap is not
-    estimable and this raises.
-    """
-    if not (0.0 <= clean_fraction <= 1.0):
-        raise ValueError("clean_fraction must lie in [0, 1]")
-    ys = np.asarray(ys, dtype=float)
-    n_up, g_up, g_lo = _side_sums(model, xs, ys, spec)
-    return _side_gap(ys.size, n_up, g_up, g_lo, clean_fraction)
 
 
 def _two_sided_dloss(spec: LossSpec, preds, ys, up) -> np.ndarray:

@@ -150,41 +150,28 @@ def _side_kind(spec: LossSpec, side: str) -> LossKind:
 # label-free derivative constants
 # ---------------------------------------------------------------------------
 
-def _constant_deriv(kind: LossKind, region: str) -> float:
-    """Executable check that kind's derivative is label-free on a region.
-
-    region 'below' means labels strictly below the prediction (y < f), the
-    zone the corrected gradient replaces with unlabeled data. region 'above'
-    is the mirrored zone (f < y) used by the LU variant. The derivative is
-    evaluated at two well-separated labels; any dependence on y fails here.
-    """
-    f = 1.0
-    if region == "below":
-        ys = (f - 0.7, f - 2.3)
-    else:
-        ys = (f + 0.7, f + 2.3)
-    d1 = float(_deriv(kind, f, ys[0]))
-    d2 = float(_deriv(kind, f, ys[1]))
-    if d1 != d2:
-        raise ValueError(
-            f"{kind} has a label-dependent derivative on the {region} region "
-            f"({d1} vs {d2}); it cannot serve as the label-free side"
-        )
-    return d1
-
-
 def lower_grad_coeff(spec: LossSpec) -> float:
     """Constant d/df of the lower-side loss for y < f(x).
 
-    absolute -> 1.0, pinball(tau) -> 1 - tau.
+    absolute -> 1.0, pinball(tau) -> 1 - tau; LossSpec admits no other
+    lower kind.
     """
-    return _constant_deriv(spec.lower, "below")
+    return 1.0 if spec.lower.name == "absolute" else 1.0 - spec.lower.param
 
 
 def upper_grad_coeff(spec: LossSpec) -> float:
     """Constant d/df of the upper-side loss for f(x) < y (LU mirror).
 
     Only losses whose derivative is label-free above the prediction qualify:
-    absolute -> -1.0, pinball(tau) -> -tau.
+    absolute -> -1.0, pinball(tau) -> -tau. squared and huber raise.
     """
-    return _constant_deriv(spec.upper, "above")
+    kind = spec.upper
+    if kind.name == "absolute":
+        return -1.0
+    if kind.name == "pinball":
+        return -kind.param
+    d1, d2 = (float(_deriv(kind, 1.0, 1.0 + gap)) for gap in (0.7, 2.3))
+    raise ValueError(
+        f"{kind} has a label-dependent derivative on the above region "
+        f"({d1} vs {d2}); it cannot serve as the label-free side"
+    )

@@ -18,7 +18,11 @@ from .gradients import GradResult, naive_batch_gradient, u2_batch_gradient
 from .losses import LossKind, LossSpec, plain_loss_value
 from .rngutil import derive_rng
 
-METHODS = ("u2", "lu", "naive")
+METHODS = ("u2", "lu", "mse", "mae", "huber")
+# Default (upper, lower) losses of the corrected methods. lu rebuilds its
+# upper side from a label-free constant and LossSpec still wants a label-free
+# lower side, so its default is absolute on both.
+DEFAULT_SPECS = {"u2": ("squared", "absolute"), "lu": ("absolute", "absolute")}
 _ABSOLUTE = LossKind("absolute")
 
 
@@ -68,29 +72,40 @@ def adam_step(state: AdamState, grad: np.ndarray, params: AdamParams) -> tuple[A
 class TrainConfig:
     """Method, loss, penalty and loop settings for one training run.
 
-    method "u2" and "lu" need a two-sided LossSpec and use rho; "naive"
-    needs a single naive_kind and ignores rho.
+    "u2" and "lu" train the corrected gradient on a two-sided LossSpec
+    (DEFAULT_SPECS when spec is None) and weight the unlabeled term by rho.
+    "mse", "mae" and "huber" are the label-trusting baselines: they train
+    one loss on every label (squared, absolute, or huber of width
+    huber_delta), take no spec and ignore rho. naive_kind is that loss,
+    derived from the method; it is None for u2 and lu.
     """
 
     method: str
     spec: LossSpec | None = None
-    naive_kind: LossKind | None = None
     rho: float = 1.0
     lam: float = 0.0
+    huber_delta: float = 1.0
     reg: str | None = "l2"
     adam: AdamParams = field(default_factory=AdamParams)
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 20
     seed: int = 0
+    naive_kind: LossKind | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}")
-        if self.method in ("u2", "lu") and self.spec is None:
-            raise ValueError(f"method {self.method!r} needs a LossSpec")
-        if self.method == "naive" and self.naive_kind is None:
-            raise ValueError("method 'naive' needs a naive_kind")
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method in DEFAULT_SPECS:
+            if self.spec is None:
+                object.__setattr__(self, "spec", LossSpec.parse(*DEFAULT_SPECS[self.method]))
+        elif self.spec is not None:
+            raise ValueError(f"method {self.method!r} trusts every label and takes no LossSpec")
+        elif self.method == "huber":
+            object.__setattr__(self, "naive_kind", LossKind("huber", self.huber_delta))
+        else:
+            object.__setattr__(self, "naive_kind",
+                               LossKind("squared" if self.method == "mse" else "absolute"))
         if self.rho < 0:
             raise ValueError("rho must be nonnegative")
         if self.lam < 0:
@@ -121,7 +136,7 @@ class TrainResult:
 
 
 def _batch_grad(model, xs, ys, cfg: TrainConfig, rng) -> GradResult:
-    if cfg.method == "naive":
+    if cfg.naive_kind is not None:
         return naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng)
     return u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng,
                              mirror=cfg.method == "lu")
@@ -209,5 +224,5 @@ def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
     cells.
     """
     preds = model.predict_batch(val_ds.xs)
-    kind = cfg.naive_kind if cfg.method == "naive" else _ABSOLUTE
+    kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
     return float(np.mean(plain_loss_value(kind, preds, val_ds.ys_prime)))

@@ -22,12 +22,12 @@ from u2reg import (
     LinearModel,
     LossSpec,
     SyntheticProcess,
+    TrainConfig,
     corrupt,
     dloss_df,
     estimate_eta_xi_delta,
     generate_uncorrupted,
     init_model,
-    method_train_config,
     naive_batch_gradient,
     population_gradient_oracle,
     run_benchmark,
@@ -320,10 +320,8 @@ def test_lu_training_mirrors_u2():
     neg_va = Dataset(va.xs, -va.ys_prime)
 
     spec = LossSpec.parse("absolute", "absolute")
-    cfg_u2 = method_train_config("u2", rho=1.0, lam=0.01, spec=spec,
-                                 max_epochs=40, seed=123)
-    cfg_lu = method_train_config("lu", rho=1.0, lam=0.01, spec=spec,
-                                 max_epochs=40, seed=123)
+    cfg_u2 = TrainConfig("u2", spec=spec, rho=1.0, lam=0.01, max_epochs=40, seed=123)
+    cfg_lu = TrainConfig("lu", spec=spec, rho=1.0, lam=0.01, max_epochs=40, seed=123)
 
     diffs = []
     inits = [

@@ -192,6 +192,23 @@ def test_train_methods_lu_and_baselines(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_train_baselines_reject_loss_flags(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    out = str(tmp_path / "m.json")
+    small = ["train", "--data", cor, "--max-epochs", "1", "--out", out]
+    for method in ("mse", "mae", "huber"):
+        for flag in ("--upper-loss", "--lower-loss"):
+            assert run(*small, "--method", method, flag, "absolute") == 1
+            assert f"{flag} has no effect with --method {method}" in capsys.readouterr().err
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"method": "mae", "lower_loss": "absolute"}))
+    assert run(*small, "--config", str(config)) == 1
+    assert "--lower-loss has no effect with --method mae" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(*small, "--method", "u2", "--lower-loss", "pinball:0.3") == 0
+    capsys.readouterr()
+
+
 def test_train_rejects_bad_val_fraction(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     assert run("train", "--data", cor, "--val-fraction", "1.5",
@@ -324,6 +341,22 @@ def test_benchmark_rejects_train_only_flags(tmp_path, capsys):
     config.write_text(json.dumps({"lr": 0.5}))
     assert run("benchmark", "--config", str(config), *small) == 1
     assert "unknown config keys for 'benchmark': lr" in capsys.readouterr().err
+
+
+def test_benchmark_data_rejects_process_flags(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    small = ["benchmark", "--data", cor, "--folds", "2", "--methods", "mse",
+             "--max-epochs", "1", "--lam-grid", "0.01"]
+    for flag, value in (("--n", "50"), ("--d", "99"), ("--k", "25,75"), ("--beta", "2"),
+                        ("--corruption-mode", "strict"), ("--corruption-scale", "3")):
+        assert run(*small, flag, value) == 1
+        assert f"{flag} has no effect with --data" in capsys.readouterr().err
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"k": "25"}))
+    assert run(*small, "--config", str(config)) == 1
+    assert "--k has no effect with --data" in capsys.readouterr().err
+    assert run(*small) == 0
+    assert json.loads(capsys.readouterr().out)["k_list"] == [None]
 
 
 def test_benchmark_rbf_runs_with_sigma_grid_alone(capsys):

@@ -12,27 +12,21 @@ from u2reg import (
     LinearModel,
     LossSpec,
     SyntheticProcess,
+    TrainConfig,
     corrupt,
-    estimate_bias_diagnostics,
     estimate_eta_xi_delta,
     generate_uncorrupted,
     grid_search,
     init_model,
     mae,
     mean_signed_error,
-    method_train_config,
     run_benchmark,
     split_cv,
     standardize,
     train,
 )
-from u2reg.evaluate import (
-    DEFAULT_GRID,
-    LU_DEFAULT_SPEC,
-    U2_DEFAULT_SPEC,
-    Hyperparams,
-)
-from u2reg.losses import LossKind, dloss_df
+from u2reg.evaluate import DEFAULT_GRID, Hyperparams
+from u2reg.losses import dloss_df
 from u2reg.gradients import bias_lower_bound, partition_upper
 from u2reg.rngutil import derive_rng, derive_seed
 
@@ -69,7 +63,7 @@ def test_metrics_reject_mismatched_inputs():
 
 
 # ---------------------------------------------------------------------------
-# grids and method configs
+# grids
 # ---------------------------------------------------------------------------
 
 def test_grid_spec_defaults_and_validation():
@@ -81,29 +75,6 @@ def test_grid_spec_defaults_and_validation():
         GridSpec(lams=(0.1, -0.5))
     with pytest.raises(ValueError):
         GridSpec(sigmas=(0.0,))
-
-
-def test_method_train_config_defaults():
-    u2 = method_train_config("u2", rho=0.5, lam=0.01)
-    assert u2.method == "u2" and u2.rho == 0.5 and u2.lam == 0.01
-    assert (str(u2.spec.upper), str(u2.spec.lower)) == U2_DEFAULT_SPEC
-    lu = method_train_config("lu", rho=1.0, lam=0.0)
-    assert lu.method == "lu"
-    assert (str(lu.spec.upper), str(lu.spec.lower)) == LU_DEFAULT_SPEC
-    mse = method_train_config("mse", rho=1.0, lam=0.0)
-    assert mse.method == "naive" and mse.naive_kind == LossKind("squared")
-    mae_cfg = method_train_config("mae", rho=1.0, lam=0.0)
-    assert mae_cfg.naive_kind == LossKind("absolute")
-    hub = method_train_config("huber", rho=1.0, lam=0.0, huber_delta=2.5)
-    assert hub.naive_kind == LossKind("huber", 2.5)
-    with pytest.raises(ValueError):
-        method_train_config("ols", rho=1.0, lam=0.0)
-
-
-def test_method_train_config_custom_spec_passthrough():
-    spec = LossSpec.parse("pinball:0.7", "pinball:0.7")
-    cfg = method_train_config("u2", rho=1.0, lam=0.0, spec=spec)
-    assert cfg.spec is spec
 
 
 # ---------------------------------------------------------------------------
@@ -127,8 +98,8 @@ def small_corruption_splits(seed=55, n=500, scale=4.0):
 def test_grid_search_single_cell():
     tr_s, va_s, _ = small_corruption_splits()
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(1.0,))
-    template = method_train_config("mse", rho=1.0, lam=0.0, max_epochs=10, seed=1)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), "mse", grid, template, seed=1)
+    template = TrainConfig("mse", max_epochs=10, seed=1)
+    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=1)
     assert len(out.cells) == 1
     assert out.best == Hyperparams(rho=None, lam=0.01, sigma=None)
     assert out.cells[0].val_loss == out.best_result.best_val_loss
@@ -138,9 +109,8 @@ def test_grid_search_picks_the_lowest_validation_cell():
     tr_s, va_s, _ = small_corruption_splits(seed=56)
     # an absurd penalty pins the second cell near zero, so the small one wins
     grid = GridSpec(rhos=(1.0,), lams=(1e-3, 1e3), sigmas=(1.0,))
-    template = method_train_config("mse", rho=1.0, lam=0.0, max_epochs=40,
-                                   patience=40, seed=2)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), "mse", grid, template, seed=2)
+    template = TrainConfig("mse", max_epochs=40, patience=40, seed=2)
+    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=2)
     assert out.best.lam == 1e-3
     vals = [c.val_loss for c in out.cells]
     assert min(vals) == out.best_result.best_val_loss
@@ -151,8 +121,8 @@ def test_grid_search_tie_breaks_toward_smaller_lam_then_rho():
     # ties and the declared preference order decides
     tr_s, va_s, _ = small_corruption_splits(seed=57)
     grid = GridSpec(rhos=(1.0, 0.1), lams=(0.01, 0.001), sigmas=(1.0,))
-    template = method_train_config("u2", rho=1.0, lam=0.0, max_epochs=0, seed=3)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), "u2", grid, template, seed=3)
+    template = TrainConfig("u2", max_epochs=0, seed=3)
+    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=3)
     assert len(out.cells) == 4
     assert out.best == Hyperparams(rho=0.1, lam=0.001, sigma=None)
 
@@ -160,10 +130,9 @@ def test_grid_search_tie_breaks_toward_smaller_lam_then_rho():
 def test_grid_search_chosen_cell_close_to_best_on_clean_test():
     tr_s, va_s, te_s = small_corruption_splits()
     grid = GridSpec(rhos=(0.1, 1.0), lams=(1e-3, 1e-1), sigmas=(1.0,))
-    template = method_train_config("u2", rho=1.0, lam=0.0, max_epochs=120,
-                                   patience=120, seed=9)
+    template = TrainConfig("u2", max_epochs=120, patience=120, seed=9)
     arch = ArchSpec("linear")
-    search = grid_search(tr_s, va_s, arch, "u2", grid, template, seed=9)
+    search = grid_search(tr_s, va_s, arch, grid, template, seed=9)
     chosen = mae(te_s.ys_true, search.best_result.model.predict_batch(te_s.xs))
     cell_maes = []
     index = 0
@@ -182,8 +151,8 @@ def test_grid_search_chosen_cell_close_to_best_on_clean_test():
 def test_grid_search_rbf_expands_sigma_axis():
     tr_s, va_s, _ = small_corruption_splits(seed=58, n=120)
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(0.5, 2.0))
-    template = method_train_config("mse", rho=1.0, lam=0.0, max_epochs=2, seed=4)
-    out = grid_search(tr_s, va_s, ArchSpec("rbf", sigma=1.0), "mse", grid, template, seed=4)
+    template = TrainConfig("mse", max_epochs=2, seed=4)
+    out = grid_search(tr_s, va_s, ArchSpec("rbf", sigma=1.0), grid, template, seed=4)
     assert len(out.cells) == 2
     assert sorted(c.hyper.sigma for c in out.cells) == [0.5, 2.0]
     assert out.best.sigma in (0.5, 2.0)
@@ -202,8 +171,8 @@ def test_grid_search_isolates_failing_cells(monkeypatch):
 
     monkeypatch.setattr(ev, "train", flaky)
     grid = GridSpec(rhos=(1.0,), lams=(0.01, 0.001), sigmas=(1.0,))
-    template = method_train_config("mse", rho=1.0, lam=0.0, max_epochs=2, seed=5)
-    out = ev.grid_search(tr_s, va_s, ArchSpec("linear"), "mse", grid, template, seed=5)
+    template = TrainConfig("mse", max_epochs=2, seed=5)
+    out = ev.grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=5)
     failed = [c for c in out.cells if c.error is not None]
     assert len(failed) == 1
     assert failed[0].hyper.lam == 0.01
@@ -221,9 +190,9 @@ def test_grid_search_raises_when_every_cell_fails(monkeypatch):
 
     monkeypatch.setattr(ev, "train", always_fail)
     grid = GridSpec(rhos=(1.0,), lams=(0.01, 0.001), sigmas=(1.0,))
-    template = method_train_config("mse", rho=1.0, lam=0.0, max_epochs=2, seed=6)
+    template = TrainConfig("mse", max_epochs=2, seed=6)
     with pytest.raises(RuntimeError, match="every grid cell failed"):
-        ev.grid_search(tr_s, va_s, ArchSpec("linear"), "mse", grid, template, seed=6)
+        ev.grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=6)
 
 
 # ---------------------------------------------------------------------------
@@ -357,10 +326,10 @@ def test_benchmark_isolates_a_failing_item(monkeypatch):
 
     real_search = ev.grid_search
 
-    def flaky(tr, va, arch, method, grid, template, seed=0):
-        if method == "mse":
+    def flaky(tr, va, arch, grid, template, seed=0):
+        if template.method == "mse":
             raise RuntimeError("boom")
-        return real_search(tr, va, arch, method, grid, template, seed=seed)
+        return real_search(tr, va, arch, grid, template, seed=seed)
 
     monkeypatch.setattr(ev, "grid_search", flaky)
     task = BenchmarkTask.named("low-noise", n=120, d=3)
@@ -396,11 +365,10 @@ def test_benchmark_fold_score_replays_from_its_seed_labels():
     tr, va, te = split_cv(ds, 2, 0.2, derive_seed(seed, "benchmark-splits", task.name))[fold]
     tr_s, (va_s, te_s), _ = standardize(tr, (va, te))
     run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
-    template = method_train_config(
-        method, rho=1.0, lam=0.0, batch_size=min(32, len(tr_s)), max_epochs=3,
-        patience=3, seed=run_seed,
+    template = TrainConfig(
+        method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
     )
-    search = grid_search(tr_s, va_s, ArchSpec("linear"), method, grid, template, seed=run_seed)
+    search = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=run_seed)
     preds = search.best_result.model.predict_batch(te_s.xs)
 
     summary = rep.summary(method, k)
@@ -453,19 +421,6 @@ def test_eta_xi_delta_matches_single_chunk_replay():
     assert diag.bound == pytest.approx(
         bias_lower_bound(diag.eta, 0.7, delta), rel=1e-12
     )
-
-
-def test_side_gap_entry_points_agree_on_the_same_rows():
-    p = SyntheticProcess.draw(3, derive_seed(74, "etest-proc"), k_percent=30.0)
-    model = LinearModel(3, np.append(p.weights * 0.5, -0.2))
-    n_mc, seed = 10000, 6
-    mc = estimate_eta_xi_delta(p, model, SQ_ABS, n_mc, seed)
-    X, y = p.draw_clean(n_mc, derive_rng(seed, "eta-xi-delta"))  # one chunk
-    rows = estimate_bias_diagnostics(model, X, y, SQ_ABS, clean_fraction=mc.xi)
-    assert rows.n_upper == mc.n_upper
-    assert rows.eta == mc.eta
-    assert rows.delta == pytest.approx(mc.delta, rel=1e-12)
-    assert rows.bound == pytest.approx(mc.bound, rel=1e-12)
 
 
 def test_eta_xi_delta_rejects_degenerate_models():

@@ -9,9 +9,9 @@ from u2reg import (
     LinearModel,
     LossKind,
     LossSpec,
+    MlpModel,
     SyntheticProcess,
     bias_lower_bound,
-    estimate_bias_diagnostics,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -303,6 +303,19 @@ def test_oracle_two_seeds_agree_within_monte_carlo_error():
     assert np.all(np.abs(g1 - g2) <= 4.0 * np.sqrt(s1**2 + s2**2))
 
 
+def test_oracle_standard_errors_need_per_row_jacobians():
+    class NoDraws:
+        def draw_clean(self, n, rng):
+            raise AssertionError("drew Monte-Carlo rows")
+
+    mlp = MlpModel(2, (3,), dropout=0.0)
+    with pytest.raises(ValueError, match="mlp"):
+        population_gradient_oracle(mlp, NoDraws(), ABS_ABS, 100, seed=0, with_se=True)
+    process = SyntheticProcess.draw(2, derive_seed(7, "gtest-proc"))
+    grad = population_gradient_oracle(mlp, process, ABS_ABS, 100, seed=0)
+    assert grad.shape == mlp.theta.shape
+
+
 def test_oracle_needs_at_least_two_rows():
     process = SyntheticProcess.draw(2, derive_seed(6, "gtest-proc"))
     model = LinearModel(2)
@@ -311,7 +324,7 @@ def test_oracle_needs_at_least_two_rows():
 
 
 # ---------------------------------------------------------------------------
-# bias floor and plug-in diagnostics
+# bias floor
 # ---------------------------------------------------------------------------
 
 def test_bias_lower_bound_values():
@@ -325,24 +338,3 @@ def test_bias_lower_bound_values():
         bias_lower_bound(0.5, 1.1, 1.0)
     with pytest.raises(ValueError):
         bias_lower_bound(0.5, 0.5, -1.0)
-
-
-def test_estimate_bias_diagnostics_consistency():
-    rng = np.random.default_rng(23)
-    model = LinearModel(2, rng.standard_normal(3))
-    xs = rng.standard_normal((50, 2))
-    ys = model.predict_batch(xs) + rng.standard_normal(50)
-    diag = estimate_bias_diagnostics(model, xs, ys, SQ_ABS, clean_fraction=0.8)
-    assert diag.n_rows == 50
-    assert diag.eta == diag.n_upper / 50
-    assert 0 < diag.n_upper < 50
-    assert diag.bound == pytest.approx(bias_lower_bound(diag.eta, 0.8, diag.delta))
-    assert diag.delta >= 0.0
-
-
-def test_estimate_bias_diagnostics_degenerate_partition():
-    model = LinearModel(1, np.array([0.0, -100.0]))  # fit far below every label
-    xs = np.array([[0.0], [1.0]])
-    ys = np.array([0.0, 0.0])
-    with pytest.raises(ValueError):
-        estimate_bias_diagnostics(model, xs, ys, SQ_ABS, clean_fraction=0.5)

@@ -1,5 +1,7 @@
 """Adam updates and the early-stopping training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from u2reg import (
     train,
 )
 from u2reg.data import Dataset
-from u2reg.optim import validation_loss
+from u2reg.optim import DEFAULT_SPECS, validation_loss
 from u2reg.rngutil import derive_seed
 
 from conftest import make_dataset
@@ -26,7 +28,7 @@ SQ_ABS = LossSpec.parse("squared", "absolute")
 
 
 def mse_cfg(**kw) -> TrainConfig:
-    base = dict(method="naive", naive_kind=LossKind("squared"), lam=0.0)
+    base = dict(method="mse", lam=0.0)
     base.update(kw)
     return TrainConfig(**base)
 
@@ -93,9 +95,9 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(method="sgd")
     with pytest.raises(ValueError):
-        TrainConfig(method="u2")  # spec required
+        TrainConfig(method="mse", spec=SQ_ABS)  # a baseline has no two-sided loss
     with pytest.raises(ValueError):
-        TrainConfig(method="naive")  # naive_kind required
+        TrainConfig(method="huber", huber_delta=0.0)
     with pytest.raises(ValueError):
         mse_cfg(rho=-1.0)
     with pytest.raises(ValueError):
@@ -106,6 +108,25 @@ def test_train_config_validation():
         mse_cfg(max_epochs=-1)
     with pytest.raises(ValueError):
         mse_cfg(patience=-2)
+
+
+def test_train_config_derives_each_method_loss():
+    u2 = TrainConfig("u2", rho=0.5, lam=0.01)
+    assert u2.method == "u2" and u2.rho == 0.5 and u2.lam == 0.01
+    assert (str(u2.spec.upper), str(u2.spec.lower)) == DEFAULT_SPECS["u2"] == ("squared", "absolute")
+    assert u2.naive_kind is None
+    lu = TrainConfig("lu")
+    assert (str(lu.spec.upper), str(lu.spec.lower)) == DEFAULT_SPECS["lu"] == ("absolute", "absolute")
+    assert lu.naive_kind is None
+    custom = LossSpec.parse("pinball:0.7", "pinball:0.7")
+    assert TrainConfig("u2", spec=custom).spec is custom
+    assert TrainConfig("mse").naive_kind == LossKind("squared")
+    assert TrainConfig("mae").naive_kind == LossKind("absolute")
+    hub = TrainConfig("huber", huber_delta=2.5)
+    assert hub.naive_kind == LossKind("huber", 2.5) and hub.spec is None
+    assert replace(hub, lam=0.1).naive_kind == LossKind("huber", 2.5)
+    with pytest.raises(ValueError):
+        TrainConfig("ols")
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +187,7 @@ def test_train_recovers_noiseless_linear_target():
     ds = generate_uncorrupted(proc, 160, derive_seed(9, "op-data"))
     val = generate_uncorrupted(proc, 60, derive_seed(9, "op-val"))
     for method, kw in (
-        ("naive", dict(naive_kind=LossKind("squared"))),
+        ("mse", {}),
         ("u2", dict(spec=SQ_ABS, rho=0.5)),
     ):
         cfg = TrainConfig(
@@ -213,13 +234,13 @@ def test_validation_loss_is_the_loss_each_baseline_trains():
     model = LinearModel(2, np.array([0.3, -0.2, 0.1]))
     r = model.predict_batch(ds.xs) - ds.ys_prime
     a = np.abs(r)
-    expected = {
-        LossKind("squared"): np.mean(r * r),
-        LossKind("absolute"): np.mean(a),
-        LossKind("huber", 0.5): np.mean(np.where(a <= 0.5, r * r, a - 0.25)),
-    }
-    for kind, value in expected.items():
-        assert validation_loss(model, ds, mse_cfg(naive_kind=kind)) == pytest.approx(value)
+    expected = [
+        (TrainConfig("mse"), np.mean(r * r)),
+        (TrainConfig("mae"), np.mean(a)),
+        (TrainConfig("huber", huber_delta=0.5), np.mean(np.where(a <= 0.5, r * r, a - 0.25))),
+    ]
+    for cfg, value in expected:
+        assert validation_loss(model, ds, cfg) == pytest.approx(value)
     # the corrected methods keep absolute error on the observed labels
     u2 = TrainConfig(method="u2", spec=SQ_ABS, rho=0.5)
     assert validation_loss(model, ds, u2) == pytest.approx(np.mean(a))
