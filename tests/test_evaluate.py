@@ -10,6 +10,7 @@ from u2reg import (
     BenchmarkTask,
     GridSpec,
     LinearModel,
+    LossKind,
     LossSpec,
     SyntheticProcess,
     TrainConfig,
@@ -27,6 +28,7 @@ from u2reg import (
 )
 from u2reg.evaluate import DEFAULT_GRID, Hyperparams
 from u2reg.losses import dloss_df
+from u2reg.optim import DEFAULT_SPECS
 from u2reg.gradients import bias_lower_bound, partition_upper
 from u2reg.rngutil import derive_rng, derive_seed
 
@@ -75,6 +77,32 @@ def test_grid_spec_defaults_and_validation():
         GridSpec(lams=(0.1, -0.5))
     with pytest.raises(ValueError):
         GridSpec(sigmas=(0.0,))
+
+
+# ---------------------------------------------------------------------------
+# per-method train configs
+# ---------------------------------------------------------------------------
+
+def test_method_train_config_defaults():
+    u2 = TrainConfig("u2", rho=0.5, lam=0.01)
+    assert u2.method == "u2" and u2.rho == 0.5 and u2.lam == 0.01
+    assert (str(u2.spec.upper), str(u2.spec.lower)) == DEFAULT_SPECS["u2"] == ("squared", "absolute")
+    assert u2.naive_kind is None
+    lu = TrainConfig("lu")
+    assert (str(lu.spec.upper), str(lu.spec.lower)) == DEFAULT_SPECS["lu"] == ("absolute", "absolute")
+    assert lu.naive_kind is None
+    assert TrainConfig("mse").naive_kind == LossKind("squared")
+    assert TrainConfig("mae").naive_kind == LossKind("absolute")
+    hub = TrainConfig("huber", huber_delta=2.5)
+    assert hub.naive_kind == LossKind("huber", 2.5) and hub.spec is None
+    assert replace(hub, lam=0.1).naive_kind == LossKind("huber", 2.5)
+    with pytest.raises(ValueError):
+        TrainConfig("ols")
+
+
+def test_method_train_config_custom_spec_passthrough():
+    spec = LossSpec.parse("pinball:0.7", "pinball:0.7")
+    assert TrainConfig("u2", spec=spec).spec is spec
 
 
 # ---------------------------------------------------------------------------

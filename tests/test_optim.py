@@ -1,7 +1,5 @@
 """Adam updates and the early-stopping training loop."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -9,7 +7,6 @@ from u2reg import (
     AdamParams,
     AdamState,
     LinearModel,
-    LossKind,
     LossSpec,
     SyntheticProcess,
     TrainConfig,
@@ -19,7 +16,7 @@ from u2reg import (
     train,
 )
 from u2reg.data import Dataset
-from u2reg.optim import DEFAULT_SPECS, validation_loss
+from u2reg.optim import validation_loss
 from u2reg.rngutil import derive_seed
 
 from conftest import make_dataset
@@ -108,25 +105,6 @@ def test_train_config_validation():
         mse_cfg(max_epochs=-1)
     with pytest.raises(ValueError):
         mse_cfg(patience=-2)
-
-
-def test_train_config_derives_each_method_loss():
-    u2 = TrainConfig("u2", rho=0.5, lam=0.01)
-    assert u2.method == "u2" and u2.rho == 0.5 and u2.lam == 0.01
-    assert (str(u2.spec.upper), str(u2.spec.lower)) == DEFAULT_SPECS["u2"] == ("squared", "absolute")
-    assert u2.naive_kind is None
-    lu = TrainConfig("lu")
-    assert (str(lu.spec.upper), str(lu.spec.lower)) == DEFAULT_SPECS["lu"] == ("absolute", "absolute")
-    assert lu.naive_kind is None
-    custom = LossSpec.parse("pinball:0.7", "pinball:0.7")
-    assert TrainConfig("u2", spec=custom).spec is custom
-    assert TrainConfig("mse").naive_kind == LossKind("squared")
-    assert TrainConfig("mae").naive_kind == LossKind("absolute")
-    hub = TrainConfig("huber", huber_delta=2.5)
-    assert hub.naive_kind == LossKind("huber", 2.5) and hub.spec is None
-    assert replace(hub, lam=0.1).naive_kind == LossKind("huber", 2.5)
-    with pytest.raises(ValueError):
-        TrainConfig("ols")
 
 
 # ---------------------------------------------------------------------------
