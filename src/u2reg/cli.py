@@ -13,7 +13,6 @@ files (written atomically) or standard output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import sys
 from dataclasses import replace
@@ -23,10 +22,14 @@ import numpy as np
 from .data import (
     CORRUPTION_MODES,
     Dataset,
+    FeatureStats,
     SyntheticProcess,
+    carve_validation,
     corrupt,
     generate_uncorrupted,
+    read_table,
     standardize,
+    table_text,
     window_features,
     WINDOW_STATS,
 )
@@ -275,15 +278,18 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
 
 def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
     """Fail on a flag (or config key) that this run would silently ignore."""
+    ignored = {}
     if command == "benchmark" and opts.get("data"):
-        ignored = [flags[0] for flags, _ in _process_args("50")]
         why = "with --data (the CSV fixes the rows, labels and corruption)"
-    elif command == "train" and opts["method"] in METHODS and opts["method"] not in DEFAULT_SPECS:
-        ignored = ["--upper-loss", "--lower-loss"]
-        why = f"with --method {opts['method']} (a baseline trains one loss on every label)"
-    else:
-        return
-    for flag in ignored:
+        ignored = {flags[0]: why for flags, _ in _process_args("50")}
+    elif command == "train" and opts["method"] in METHODS:
+        method = opts["method"]
+        if method not in DEFAULT_SPECS:
+            why = f"with --method {method} (a baseline trains one loss on every label)"
+            ignored = dict.fromkeys(("--upper-loss", "--lower-loss", "--rho"), why)
+        if method != "huber":
+            ignored["--huber-delta"] = f"with --method {method} (only huber has a width)"
+    for flag, why in ignored.items():
         if flag.lstrip("-").replace("-", "_") in given:
             raise CliError(f"{flag} has no effect {why}")
 
@@ -442,10 +448,9 @@ def _run_train(opts: dict) -> int:
         vf = float(opts["val_fraction"])
         if not (0.0 < vf < 1.0):
             raise CliError("--val-fraction must lie in (0, 1)")
-        n = len(full)
-        n_val = min(max(int(round(vf * n)), 1), n - 1)
-        perm = derive_rng(seed, "cli-val-split").permutation(n)
-        val_ds, train_ds = full.subset(perm[:n_val]), full.subset(perm[n_val:])
+        val_idx, train_idx = carve_validation(np.arange(len(full)), vf,
+                                              derive_rng(seed, "cli-val-split"))
+        val_ds, train_ds = full.subset(val_idx), full.subset(train_idx)
 
     do_standardize = not bool(opts.get("no_standardize"))
     if do_standardize:
@@ -476,15 +481,12 @@ def _run_train(opts: dict) -> int:
         "seed": seed,
     })
     if opts.get("history"):
-        with_timing = bool(opts.get("timing"))
-        buf = io.StringIO()
-        buf.write("epoch,val_loss,grad_norm" + (",seconds" if with_timing else "") + "\n")
-        for rec in result.history:
-            row = f"{rec.epoch},{rec.val_loss:.17g},{rec.grad_norm:.17g}"
-            if with_timing:
-                row += f",{rec.seconds:.6f}"
-            buf.write(row + "\n")
-        atomic_write_text(opts["history"], buf.getvalue())
+        # the opt-in wall-clock column keeps its fixed-point text
+        width = 4 if opts.get("timing") else 3
+        rows = [(r.epoch, r.val_loss, r.grad_norm, f"{r.seconds:.6f}")[:width]
+                for r in result.history]
+        header = ["epoch", "val_loss", "grad_norm", "seconds"][:width]
+        atomic_write_text(opts["history"], table_text(header, rows))
     _info(
         f"trained {method} ({arch.kind}) on {len(train_ds)} rows; "
         f"best val loss {result.best_val_loss:.6g} at epoch {result.best_epoch}; wrote {out}"
@@ -496,22 +498,20 @@ def _run_predict(opts: dict) -> int:
     data_path = _require(opts, "data", "--data")
     model_path = _require(opts, "model_file", "--model-file")
     model, payload = load_model(model_path)
-    xs = _load_feature_matrix(data_path)
+    # a dataset CSV (its header names y_prime) or a plain numeric CSV
+    with open(data_path, "r", encoding="utf-8") as fh:
+        dataset_format = "y_prime" in [c.strip() for c in fh.readline().split(",")]
+    xs = Dataset.from_csv(data_path).xs if dataset_format else read_table(data_path)[1]
     if xs.shape[1] != model.input_dim:
         raise CliError(
             f"feature count mismatch: data has {xs.shape[1]} features, "
             f"model expects {model.input_dim}"
         )
     if payload.get("standardized_features"):
-        mean = np.asarray(payload["feature_mean"], dtype=float)
-        std = np.asarray(payload["feature_std"], dtype=float)
-        xs = (xs - mean) / std
+        xs = FeatureStats(np.asarray(payload["feature_mean"], dtype=float),
+                          np.asarray(payload["feature_std"], dtype=float)).apply(xs)
     preds = model.predict_batch(xs)
-    buf = io.StringIO()
-    buf.write("index,y_pred\n")
-    for i, p in enumerate(preds):
-        buf.write(f"{i},{p:.17g}\n")
-    _write_or_stdout(buf.getvalue(), opts.get("out"))
+    _write_or_stdout(table_text(["index", "y_pred"], enumerate(preds)), opts.get("out"))
     if opts.get("out"):
         _info(f"wrote {len(preds)} predictions to {opts['out']}")
     return 0
@@ -600,57 +600,17 @@ def _run_features(opts: dict) -> int:
     if window is None:
         raise CliError("--window is required")
     window, stride = int(window), int(opts["stride"])
-    series = _load_numeric_csv(data_path)
+    try:
+        _, series = read_table(data_path)
+    except OSError as exc:
+        raise CliError(f"cannot read {data_path}: {exc}")
     feats = window_features(series, window, stride)
     n_channels = feats.shape[1] // len(WINDOW_STATS)
-    header = ",".join(
-        f"ch{c}_{stat}" for c in range(n_channels) for stat in WINDOW_STATS
-    )
-    buf = io.StringIO()
-    buf.write(header + "\n")
-    for row in feats:
-        buf.write(",".join(format(v, ".17g") for v in row) + "\n")
-    _write_or_stdout(buf.getvalue(), opts.get("out"))
+    header = [f"ch{c}_{stat}" for c in range(n_channels) for stat in WINDOW_STATS]
+    _write_or_stdout(table_text(header, feats), opts.get("out"))
     if opts.get("out"):
         _info(f"wrote {feats.shape[0]} windows x {feats.shape[1]} features to {opts['out']}")
     return 0
-
-
-def _load_feature_matrix(path: str) -> np.ndarray:
-    """Feature rows from either a dataset CSV or a plain numeric CSV.
-
-    A header containing y_prime marks the dataset format (x0..x{D-1} first);
-    anything else is treated as an all-feature matrix, with one optional
-    non-numeric header line.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline()
-    if "y_prime" in [c.strip() for c in header.split(",")]:
-        return Dataset.from_csv(path).xs
-    return _load_numeric_csv(path)
-
-
-def _load_numeric_csv(path: str) -> np.ndarray:
-    """Numeric matrix from CSV, tolerating one optional header line."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}")
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise CliError(f"{path} is empty")
-    start = 0
-    try:
-        [float(v) for v in lines[0].split(",")]
-    except ValueError:
-        start = 1
-    if start == len(lines):
-        raise CliError(f"{path} has no numeric rows")
-    try:
-        return np.loadtxt(io.StringIO("\n".join(lines[start:])), delimiter=",", ndmin=2)
-    except ValueError as exc:
-        raise CliError(f"{path} is not a numeric CSV: {exc}")
 
 
 _RUNNERS = {

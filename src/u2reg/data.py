@@ -15,7 +15,6 @@ Two corruption modes:
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,23 +141,15 @@ class Dataset:
         if self.corrupted is not None:
             cols.append("corrupted")
             arrays.append(self.corrupted[:, None].astype(float))
-        data = np.hstack(arrays)
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for row in data:
-            buf.write(",".join(_fmt(v) for v in row) + "\n")
-        return buf.getvalue()
+        return table_text(cols, np.hstack(arrays))
 
     @staticmethod
     def from_csv(path: str) -> "Dataset":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = fh.readline().strip()
-            cols = [c.strip() for c in header.split(",")]
-            body = fh.read()
-        expected_front = [f"x{i}" for i in range(len([c for c in cols if c.startswith("x")]))]
-        n_x = len(expected_front)
-        if n_x == 0 or cols[:n_x] != expected_front:
-            raise ValueError(f"bad dataset header: {header!r}")
+        header, data = read_table(path)
+        cols = header or []
+        n_x = sum(c.startswith("x") for c in cols)
+        if n_x == 0 or cols[:n_x] != [f"x{i}" for i in range(n_x)]:
+            raise ValueError(f"bad dataset header: {','.join(cols)!r}")
         rest = cols[n_x:]
         if not rest or rest[0] != "y_prime":
             raise ValueError("dataset CSV must have a y_prime column after the features")
@@ -166,7 +157,6 @@ class Dataset:
                    ["y_prime", "y_true", "corrupted"]]
         if rest not in allowed:
             raise ValueError(f"unexpected label columns {rest}")
-        data = np.loadtxt(io.StringIO(body), delimiter=",", ndmin=2)
         if data.shape[1] != len(cols):
             raise ValueError("row width does not match header")
         xs = data[:, :n_x]
@@ -176,8 +166,40 @@ class Dataset:
         return Dataset(xs, ys_prime, ys_true, corrupted)
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+def table_text(header, rows) -> str:
+    """CSV text: the header names, then one line per row.
+
+    Numbers are written as format(float(v), ".17g"), which reads back as the
+    same float64; strings are written as they are.
+    """
+    lines = [",".join(header)]
+    lines += [",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
+              for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def read_table(path: str) -> tuple[list[str] | None, np.ndarray]:
+    """(header names or None, rows) of a numeric CSV with at most one header line.
+
+    Blank lines are skipped. The first line is the header when any of its
+    fields is not a number. An empty file, a file with no numeric row and a
+    malformed row each raise ValueError naming the path.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"{path} is empty")
+    header = None
+    try:
+        [float(v) for v in lines[0].split(",")]
+    except ValueError:
+        header, lines = [c.strip() for c in lines[0].split(",")], lines[1:]
+    if not lines:
+        raise ValueError(f"{path} has no numeric rows")
+    try:
+        return header, np.loadtxt(lines, delimiter=",", ndmin=2)
+    except ValueError as exc:
+        raise ValueError(f"{path} is not a numeric CSV: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +290,17 @@ def standardize(train: Dataset, others: tuple[Dataset, ...] = ()) -> tuple[Datas
     return mapped(train), [mapped(d) for d in others], stats
 
 
+def carve_validation(idx: np.ndarray, val_fraction: float, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Shuffle idx with rng and split it into (validation, training) indices.
+
+    round(val_fraction * len(idx)) rows go to validation, clamped so that
+    each side keeps at least one row when idx has two or more.
+    """
+    idx = idx[rng.permutation(idx.shape[0])]
+    n_val = min(max(int(round(val_fraction * idx.shape[0])), 1), idx.shape[0] - 1)
+    return idx[:n_val], idx[n_val:]
+
+
 def split_cv(
     dataset: Dataset,
     folds: int,
@@ -292,10 +325,8 @@ def split_cv(
     out = []
     for fold_i, test_idx in enumerate(chunks):
         rest = np.concatenate([c for j, c in enumerate(chunks) if j != fold_i])
-        rest = rest[derive_rng(seed, "cv-val", fold_i).permutation(rest.shape[0])]
-        n_val = int(round(val_fraction * rest.shape[0]))
-        n_val = min(max(n_val, 1), rest.shape[0] - 1)
-        val_idx, train_idx = rest[:n_val], rest[n_val:]
+        rng = derive_rng(seed, "cv-val", fold_i)
+        val_idx, train_idx = carve_validation(rest, val_fraction, rng)
         if clean_test and dataset.corrupted is not None:
             test_idx = test_idx[~dataset.corrupted[test_idx]]
         out.append((dataset.subset(train_idx), dataset.subset(val_idx), dataset.subset(test_idx)))

@@ -11,7 +11,6 @@ would change how the rho grid maps onto the corrected gradient).
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import operator
@@ -19,9 +18,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv, standardize
-from .gradients import BiasDiagnostics, _side_gap, _side_sums
-from .losses import LossSpec
+from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv,
+                   standardize, table_text)
+from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
+from .losses import LossSpec, dloss_df
 from .models import ArchSpec, init_model
 from .optim import METHODS, TrainConfig, TrainResult, train
 from .rngutil import derive_rng, derive_seed
@@ -283,18 +283,10 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def to_points_csv(self, k: float | None) -> str:
-        buf = io.StringIO()
-        buf.write("index,y_true,y_pred,error,method\n")
-        index = 0
-        for p in self.points:
-            if p["k"] != k:
-                continue
-            buf.write(
-                f"{index},{p['y_true']:.17g},{p['y_pred']:.17g},"
-                f"{p['error']:.17g},{p['method']}\n"
-            )
-            index += 1
-        return buf.getvalue()
+        rows = [(p["y_true"], p["y_pred"], p["error"], p["method"])
+                for p in self.points if p["k"] == k]
+        return table_text(["index", "y_true", "y_pred", "error", "method"],
+                          ((i,) + row for i, row in enumerate(rows)))
 
 
 def _hyper_text(h: dict) -> str:
@@ -449,6 +441,18 @@ def estimate_eta_xi_delta(
     n_up, g_up, g_lo = 0, 0.0, 0.0
     for start in range(0, n_mc, chunk):
         X, y = process.draw_clean(min(chunk, n_mc - start), rng)
-        nu, gu, gl = _side_sums(model, X, y, spec)
-        n_up, g_up, g_lo = n_up + nu, g_up + gu, g_lo + gl
-    return _side_gap(n_mc, n_up, g_up, g_lo, 1.0 - process.k_percent / 100.0)
+        preds, cache = model.forward_train(X, None)
+        up = partition_upper(preds, y)
+        coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
+        n_up += int(up.sum())
+        g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
+        g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
+    if n_up == 0 or n_up == n_mc:
+        raise ValueError(
+            "every row fell on one side of the partition; the side gap "
+            "delta is not estimable (eta is degenerate)"
+        )
+    eta, xi = n_up / n_mc, 1.0 - process.k_percent / 100.0
+    delta = float(np.max(np.abs(g_up / n_up - g_lo / (n_mc - n_up))))
+    return BiasDiagnostics(eta=eta, xi=xi, delta=delta, bound=bias_lower_bound(eta, xi, delta),
+                           n_rows=n_mc, n_upper=n_up)

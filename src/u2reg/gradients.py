@@ -37,14 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import (
-    LossKind,
-    LossSpec,
-    dloss_df,
-    lower_grad_coeff,
-    plain_dloss_df,
-    upper_grad_coeff,
-)
+from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_coeff
 
 REGULARIZERS = ("l1", "l2")
 
@@ -81,13 +74,6 @@ class GradResult:
     trusted: np.ndarray  # boolean mask of rows whose labels were used
 
 
-def _check_rho_lam(rho: float, lam: float) -> None:
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
-
-
 def u2_batch_gradient(
     model,
     xs: np.ndarray,
@@ -111,16 +97,19 @@ def u2_batch_gradient(
     on f < y, reweighted by rho, which stands for the clean fraction exactly
     as in the downward form.
     """
-    _check_rho_lam(rho, lam)
+    if rho < 0.0:
+        raise ValueError("rho must be nonnegative")
+    if lam < 0.0:
+        raise ValueError("lam must be nonnegative")
     ys = np.asarray(ys, dtype=float)
     preds, cache = model.forward_train(xs, rng)
     if mirror:
         trusted = ys < np.asarray(preds)
-        c, side = upper_grad_coeff(spec), "lower"
+        c, kind = upper_grad_coeff(spec), spec.lower
     else:
         trusted = partition_upper(preds, ys)
-        c, side = lower_grad_coeff(spec), "upper"
-    coeff = np.where(trusted, dloss_df(spec, preds, ys, side) - c, 0.0) + rho * c
+        c, kind = lower_grad_coeff(spec), spec.upper
+    coeff = np.where(trusted, dloss_df(kind, preds, ys) - c, 0.0) + rho * c
     grad = model.backward_weighted(cache, coeff)
     if lam > 0.0:
         grad = grad + lam * reg_grad(reg, model.theta)
@@ -141,7 +130,7 @@ def naive_batch_gradient(
         raise ValueError("lam must be nonnegative")
     ys = np.asarray(ys, dtype=float)
     preds, cache = model.forward_train(xs, rng)
-    coeff = plain_dloss_df(kind, preds, ys)
+    coeff = dloss_df(kind, preds, ys)
     grad = model.backward_weighted(cache, coeff / ys.size)
     if lam > 0.0:
         grad = grad + lam * reg_grad(reg, model.theta)
@@ -181,7 +170,7 @@ def u2_dataset_gradient_estimate(
     n_up = int(up.sum())
     coeff = np.full(ys.size, c_g / ys.size)
     if n_up > 0:
-        d_up = dloss_df(spec, preds, ys, "upper")
+        d_up = dloss_df(spec.upper, preds, ys)
         coeff = coeff + np.where(up, (d_up - c_g) * (pi_up / n_up), 0.0)
     return GradResult(model.backward_weighted(cache, coeff), preds, up)
 
@@ -211,7 +200,8 @@ def population_gradient_oracle(
         raise ValueError(f"with_se needs per-row Jacobians, which a {model.kind} model lacks")
     X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
     preds, cache = model.forward_train(X, None)
-    coeff = _two_sided_dloss(spec, preds, y, partition_upper(preds, y))
+    up = partition_upper(preds, y)
+    coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
     grad = model.backward_weighted(cache, coeff / n_rows)
     if not with_se:
         return grad
@@ -268,39 +258,3 @@ class BiasDiagnostics:
     bound: float
     n_rows: int
     n_upper: int
-
-
-def _two_sided_dloss(spec: LossSpec, preds, ys, up) -> np.ndarray:
-    """Per-row d/df of the full objective: upper kind on up rows, lower elsewhere."""
-    return np.where(up, dloss_df(spec, preds, ys, "upper"), dloss_df(spec, preds, ys, "lower"))
-
-
-def _side_sums(model, xs, ys, spec: LossSpec) -> tuple[int, np.ndarray, np.ndarray]:
-    """Partition one block of rows and sum the two-sided loss gradient per side.
-
-    Returns (n_up, g_up, g_lo): the trusted-row count and the unnormalized
-    gradient sums over trusted rows and over the rest. Sums from several
-    blocks add up to the sums over their union.
-    """
-    preds, cache = model.forward_train(xs, None)
-    up = partition_upper(preds, ys)
-    coeff = _two_sided_dloss(spec, preds, ys, up)
-    g_up = model.backward_weighted(cache, np.where(up, coeff, 0.0))
-    g_lo = model.backward_weighted(cache, np.where(up, 0.0, coeff))
-    return int(up.sum()), g_up, g_lo
-
-
-def _side_gap(n_rows: int, n_up: int, g_up, g_lo, xi: float) -> BiasDiagnostics:
-    """eta, delta and the bias floor from per-side totals over n_rows rows."""
-    if n_up == 0 or n_up == n_rows:
-        raise ValueError(
-            "every row fell on one side of the partition; the side gap "
-            "delta is not estimable (eta is degenerate)"
-        )
-    eta = n_up / n_rows
-    delta = float(np.max(np.abs(g_up / n_up - g_lo / (n_rows - n_up))))
-    return BiasDiagnostics(
-        eta=eta, xi=xi, delta=delta,
-        bound=bias_lower_bound(eta, xi, delta),
-        n_rows=n_rows, n_upper=n_up,
-    )

@@ -8,6 +8,11 @@ by :func:`lower_grad_coeff` and is what allows the corrected gradient to use
 unlabeled points. Absolute loss and pinball loss qualify; squared and huber
 do not (their lower-side derivative still contains y).
 
+:func:`loss_value` and :func:`dloss_df` are the only pointwise value and
+derivative functions. Each takes one :class:`LossKind`: a corrected method
+passes ``spec.upper`` or ``spec.lower`` for the side it needs, and a naive
+baseline passes the single kind it trains on every label.
+
 Conventions:
   - squared(f, y) = (f - y)^2, so d/df = 2(f - y). Huber is scaled to match
     the squared loss inside its quadratic region.
@@ -84,8 +89,9 @@ class LossSpec:
 # pointwise values and derivatives (vectorized over numpy arrays)
 # ---------------------------------------------------------------------------
 
-def _value(kind: LossKind, f, y):
-    r = np.asarray(f, dtype=float) - np.asarray(y, dtype=float)
+def loss_value(kind: LossKind, f_x, y):
+    """Loss of one kind at prediction f_x against label y."""
+    r = np.asarray(f_x, dtype=float) - np.asarray(y, dtype=float)
     if kind.name == "squared":
         return r * r
     if kind.name == "absolute":
@@ -101,8 +107,9 @@ def _value(kind: LossKind, f, y):
     raise AssertionError(kind)
 
 
-def _deriv(kind: LossKind, f, y):
-    r = np.asarray(f, dtype=float) - np.asarray(y, dtype=float)
+def dloss_df(kind: LossKind, f_x, y):
+    """Derivative of the loss of one kind with respect to the prediction."""
+    r = np.asarray(f_x, dtype=float) - np.asarray(y, dtype=float)
     if kind.name == "squared":
         return 2.0 * r
     if kind.name == "absolute":
@@ -114,36 +121,6 @@ def _deriv(kind: LossKind, f, y):
         d = kind.param
         return np.clip(2.0 * r, -2.0 * d, 2.0 * d)
     raise AssertionError(kind)
-
-
-def loss_value(spec: LossSpec, f_x, y, side: str):
-    """Loss at prediction f_x against label y on the given side."""
-    kind = _side_kind(spec, side)
-    return _value(kind, f_x, y)
-
-
-def dloss_df(spec: LossSpec, f_x, y, side: str):
-    """Derivative of the side's loss with respect to the prediction."""
-    kind = _side_kind(spec, side)
-    return _deriv(kind, f_x, y)
-
-
-def plain_loss_value(kind: LossKind, f_x, y):
-    """Single-kind loss applied on both sides; what naive baselines minimize."""
-    return _value(kind, f_x, y)
-
-
-def plain_dloss_df(kind: LossKind, f_x, y):
-    """Derivative of the single-kind loss with respect to the prediction."""
-    return _deriv(kind, f_x, y)
-
-
-def _side_kind(spec: LossSpec, side: str) -> LossKind:
-    if side == "upper":
-        return spec.upper
-    if side == "lower":
-        return spec.lower
-    raise ValueError(f"side must be 'upper' or 'lower', got {side!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +147,7 @@ def upper_grad_coeff(spec: LossSpec) -> float:
         return -1.0
     if kind.name == "pinball":
         return -kind.param
-    d1, d2 = (float(_deriv(kind, 1.0, 1.0 + gap)) for gap in (0.7, 2.3))
+    d1, d2 = (float(dloss_df(kind, 1.0, 1.0 + gap)) for gap in (0.7, 2.3))
     raise ValueError(
         f"{kind} has a label-dependent derivative on the above region "
         f"({d1} vs {d2}); it cannot serve as the label-free side"

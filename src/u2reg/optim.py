@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gradients import GradResult, naive_batch_gradient, u2_batch_gradient
-from .losses import LossKind, LossSpec, plain_loss_value
+from .losses import LossKind, LossSpec, loss_value
 from .rngutil import derive_rng
 
 METHODS = ("u2", "lu", "mse", "mae", "huber")
@@ -225,4 +225,4 @@ def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
     """
     preds = model.predict_batch(val_ds.xs)
     kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
-    return float(np.mean(plain_loss_value(kind, preds, val_ds.ys_prime)))
+    return float(np.mean(loss_value(kind, preds, val_ds.ys_prime)))

@@ -294,8 +294,8 @@ def test_jacobians_and_label_free_lower_losses():
         f = rng.standard_normal(1000) * 3.0
         y1 = f - rng.uniform(0.01, 5.0, size=1000)
         y2 = f - rng.uniform(0.01, 5.0, size=1000)
-        d1 = dloss_df(spec, f, y1, "lower")
-        d2 = dloss_df(spec, f, y2, "lower")
+        d1 = dloss_df(spec.lower, f, y1)
+        d2 = dloss_df(spec.lower, f, y2)
         exact_ok = exact_ok and np.array_equal(d1, d2)
 
     ok = jac_ok and exact_ok

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from u2reg import LinearModel, LossSpec, SyntheticProcess, estimate_eta_xi_delta, load_model
+from u2reg import Dataset, LinearModel, LossSpec, SyntheticProcess, estimate_eta_xi_delta, load_model
 from u2reg.cli import ARG_TABLE, run_cli
 from u2reg.rngutil import derive_seed
 
@@ -209,6 +209,27 @@ def test_train_baselines_reject_loss_flags(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_train_rejects_ignored_rho_and_huber_delta(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    out = str(tmp_path / "m.json")
+    small = ["train", "--data", cor, "--max-epochs", "1", "--out", out]
+    for method in ("mse", "mae", "huber"):
+        assert run(*small, "--method", method, "--rho", "0.3") == 1
+        assert f"--rho has no effect with --method {method}" in capsys.readouterr().err
+    for method in ("u2", "lu", "mse", "mae"):
+        assert run(*small, "--method", method, "--huber-delta", "-2") == 1
+        assert f"--huber-delta has no effect with --method {method}" in capsys.readouterr().err
+    config = tmp_path / "train.json"
+    for key, method, flag in (("rho", "mae", "--rho"), ("huber_delta", "u2", "--huber-delta")):
+        config.write_text(json.dumps({"method": method, key: 0.5}))
+        assert run(*small, "--config", str(config)) == 1
+        assert f"{flag} has no effect with --method {method}" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(*small, "--method", "huber", "--huber-delta", "0.5") == 0
+    assert run(*small, "--method", "lu", "--rho", "0.5") == 0
+    capsys.readouterr()
+
+
 def test_train_rejects_bad_val_fraction(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     assert run("train", "--data", cor, "--val-fraction", "1.5",
@@ -247,6 +268,26 @@ def test_predict_to_stdout(pipeline, capsys):
     out = capsys.readouterr().out
     assert out.startswith("index,y_pred\n")
     assert len(out.splitlines()) == 1 + 120
+
+
+def test_predict_reads_dataset_headed_and_headerless_csv_alike(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    model_path = str(tmp_path / "m5.json")
+    assert run("train", "--data", cor, "--max-epochs", "2", "--out", model_path) == 0
+    xs = Dataset.from_csv(cor).xs
+    rows = "".join(",".join(format(v, ".17g") for v in row) + "\n" for row in xs)
+    headed, bare = str(tmp_path / "headed.csv"), str(tmp_path / "bare.csv")
+    with open(headed, "w") as fh:
+        fh.write("a,b,c\n" + rows)
+    with open(bare, "w") as fh:
+        fh.write(rows)
+    outs = []
+    for i, data in enumerate((cor, headed, bare)):
+        outs.append(str(tmp_path / f"p{i}.csv"))
+        assert run("predict", "--data", data, "--model-file", model_path, "--out", outs[-1]) == 0
+    capsys.readouterr()
+    assert read_bytes(outs[0]) == read_bytes(outs[1]) == read_bytes(outs[2])
+    assert len(read_bytes(outs[0]).splitlines()) == 1 + 120
 
 
 # ---------------------------------------------------------------------------

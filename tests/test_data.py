@@ -16,7 +16,7 @@ from u2reg import (
     standardize,
     window_features,
 )
-from u2reg.data import feature_stats
+from u2reg.data import feature_stats, read_table, table_text
 from u2reg.rngutil import derive_seed
 
 
@@ -327,6 +327,33 @@ def test_from_csv_rejects_malformed_headers(tmp_path):
             fh.write(header + "\n" + row + "\n")
         with pytest.raises(ValueError):
             Dataset.from_csv(path)
+
+
+def test_table_codec_round_trips_float64_bits(tmp_path):
+    values = np.array([-0.0, 5e-324, 0.1, 1.7976931348623157e308])
+    path = os.path.join(tmp_path, "t.csv")
+    with open(path, "w") as fh:
+        fh.write(table_text(["a", "b"], [(v, -v) for v in values]))
+    header, rows = read_table(path)
+    assert header == ["a", "b"]
+    assert rows.dtype == np.float64
+    assert rows[:, 0].tobytes() == values.tobytes()
+    assert rows[:, 1].tobytes() == (-values).tobytes()
+    with open(path, "w") as fh:
+        fh.write("1.5,2\n3,4\n")
+    header, rows = read_table(path)
+    assert header is None
+    assert rows.tolist() == [[1.5, 2.0], [3.0, 4.0]]
+
+
+@pytest.mark.parametrize("text", ["", "a,b\n", "a,b\n1,2\n3,oops\n"],
+                         ids=["empty", "header-only", "non-numeric-row"])
+def test_read_table_errors_name_the_path(tmp_path, text):
+    path = os.path.join(tmp_path, "bad-table.csv")
+    with open(path, "w") as fh:
+        fh.write(text)
+    with pytest.raises(ValueError, match="bad-table.csv"):
+        read_table(path)
 
 
 def test_dataset_rejects_non_finite_values():

@@ -438,8 +438,8 @@ def test_eta_xi_delta_matches_single_chunk_replay():
     X, y = p.draw_clean(n_mc, rng)
     preds = model.predict_batch(X)
     up = partition_upper(preds, y)
-    coeff = np.where(up, dloss_df(SQ_ABS, preds, y, "upper"),
-                     dloss_df(SQ_ABS, preds, y, "lower"))
+    coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y),
+                     dloss_df(SQ_ABS.lower, preds, y))
     J = model.param_jacobian_batch(X)
     g_up = (np.where(up, coeff, 0.0) @ J) / up.sum()
     g_lo = (np.where(up, 0.0, coeff) @ J) / (n_mc - up.sum())

@@ -139,7 +139,7 @@ def test_u2_matches_three_sum_oracle(seed, n, rho, lam):
     J = model.param_jacobian_batch(xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)
-    d_up = dloss_df(SQ_ABS, preds, ys, "upper")
+    d_up = dloss_df(SQ_ABS.upper, preds, ys)
     want = (
         (np.where(up, d_up, 0.0) @ J)
         + rho * c_g * J.sum(axis=0)
@@ -250,7 +250,7 @@ def test_dataset_estimate_matches_written_formula():
     J = model.param_jacobian_batch(xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)
-    d_up = dloss_df(SQ_ABS, preds, ys, "upper")
+    d_up = dloss_df(SQ_ABS.upper, preds, ys)
     want = (pi_up / up.sum()) * (np.where(up, d_up - c_g, 0.0) @ J) + (
         c_g / 40.0
     ) * J.sum(axis=0)

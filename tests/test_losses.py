@@ -12,8 +12,6 @@ from u2reg.losses import (
     loss_value,
     lower_grad_coeff,
     parse_loss_kind,
-    plain_dloss_df,
-    plain_loss_value,
     upper_grad_coeff,
 )
 
@@ -27,56 +25,54 @@ taus = st.floats(0.05, 0.95)
 
 def test_squared_value_and_deriv():
     k = LossKind("squared")
-    assert plain_loss_value(k, 3.0, 1.0) == 4.0
-    assert plain_dloss_df(k, 3.0, 1.0) == 4.0
-    assert plain_dloss_df(k, 0.0, 2.0) == -4.0
+    assert loss_value(k, 3.0, 1.0) == 4.0
+    assert dloss_df(k, 3.0, 1.0) == 4.0
+    assert dloss_df(k, 0.0, 2.0) == -4.0
 
 
 def test_absolute_value_and_deriv():
     k = LossKind("absolute")
-    assert plain_loss_value(k, 3.0, 1.0) == 2.0
-    assert plain_dloss_df(k, 3.0, 1.0) == 1.0
-    assert plain_dloss_df(k, -1.0, 1.0) == -1.0
-    assert plain_dloss_df(k, 1.0, 1.0) == 0.0  # kink reports the zero subgradient
+    assert loss_value(k, 3.0, 1.0) == 2.0
+    assert dloss_df(k, 3.0, 1.0) == 1.0
+    assert dloss_df(k, -1.0, 1.0) == -1.0
+    assert dloss_df(k, 1.0, 1.0) == 0.0  # kink reports the zero subgradient
 
 
 def test_pinball_value_and_deriv():
     k = LossKind("pinball", 0.25)
     # residual u = y - f; tau * max(u, 0) + (1 - tau) * max(-u, 0)
-    assert plain_loss_value(k, 1.0, 3.0) == pytest.approx(0.25 * 2.0)
-    assert plain_loss_value(k, 3.0, 1.0) == pytest.approx(0.75 * 2.0)
-    assert plain_dloss_df(k, 3.0, 1.0) == pytest.approx(0.75)
-    assert plain_dloss_df(k, 1.0, 3.0) == pytest.approx(-0.25)
-    assert plain_dloss_df(k, 1.0, 1.0) == 0.0
+    assert loss_value(k, 1.0, 3.0) == pytest.approx(0.25 * 2.0)
+    assert loss_value(k, 3.0, 1.0) == pytest.approx(0.75 * 2.0)
+    assert dloss_df(k, 3.0, 1.0) == pytest.approx(0.75)
+    assert dloss_df(k, 1.0, 3.0) == pytest.approx(-0.25)
+    assert dloss_df(k, 1.0, 1.0) == 0.0
 
 
 def test_huber_value_and_deriv():
     k = LossKind("huber", 1.5)
-    assert plain_loss_value(k, 1.0, 0.0) == 1.0  # inside the quadratic zone
-    assert plain_loss_value(k, 3.0, 0.0) == pytest.approx(2 * 1.5 * 3 - 1.5**2)
-    assert plain_dloss_df(k, 1.0, 0.0) == 2.0
-    assert plain_dloss_df(k, 3.0, 0.0) == 3.0  # clipped at 2 * delta
-    assert plain_dloss_df(k, -3.0, 0.0) == -3.0
+    assert loss_value(k, 1.0, 0.0) == 1.0  # inside the quadratic zone
+    assert loss_value(k, 3.0, 0.0) == pytest.approx(2 * 1.5 * 3 - 1.5**2)
+    assert dloss_df(k, 1.0, 0.0) == 2.0
+    assert dloss_df(k, 3.0, 0.0) == 3.0  # clipped at 2 * delta
+    assert dloss_df(k, -3.0, 0.0) == -3.0
     # two-sided limit agrees at the transition point
-    assert plain_dloss_df(k, 1.5, 0.0) == 3.0
+    assert dloss_df(k, 1.5, 0.0) == 3.0
 
 
 def test_huber_matches_squared_inside_delta():
     k = LossKind("huber", 2.0)
     sq = LossKind("squared")
     r = np.linspace(-1.9, 1.9, 21)
-    assert np.allclose(plain_loss_value(k, r, 0.0), plain_loss_value(sq, r, 0.0))
-    assert np.allclose(plain_dloss_df(k, r, 0.0), plain_dloss_df(sq, r, 0.0))
+    assert np.allclose(loss_value(k, r, 0.0), loss_value(sq, r, 0.0))
+    assert np.allclose(dloss_df(k, r, 0.0), dloss_df(sq, r, 0.0))
 
 
 def test_side_dispatch():
     spec = LossSpec.parse("squared", "absolute")
-    assert loss_value(spec, 3.0, 1.0, "upper") == 4.0
-    assert loss_value(spec, 3.0, 1.0, "lower") == 2.0
-    assert dloss_df(spec, 3.0, 1.0, "upper") == 4.0
-    assert dloss_df(spec, 3.0, 1.0, "lower") == 1.0
-    with pytest.raises(ValueError):
-        loss_value(spec, 0.0, 0.0, "sideways")
+    assert loss_value(spec.upper, 3.0, 1.0) == 4.0
+    assert loss_value(spec.lower, 3.0, 1.0) == 2.0
+    assert dloss_df(spec.upper, 3.0, 1.0) == 4.0
+    assert dloss_df(spec.lower, 3.0, 1.0) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -123,8 +119,8 @@ def test_lower_derivative_ignores_the_label(f, y1, y2, tau):
     ya, yb = f - 1e-6 - abs(y1), f - 1e-6 - abs(y2)  # both strictly below f
     for lower in ("absolute", f"pinball:{tau}"):
         spec = LossSpec.parse("absolute", lower)
-        da = dloss_df(spec, f, ya, "lower")
-        db = dloss_df(spec, f, yb, "lower")
+        da = dloss_df(spec.lower, f, ya)
+        db = dloss_df(spec.lower, f, yb)
         assert da == db
         assert da == lower_grad_coeff(spec)
 
@@ -160,7 +156,7 @@ ALL_KINDS = (
 def test_loss_is_convex_along_f(kind):
     y = 0.37
     f = np.linspace(-5.0, 5.0, 801)
-    v = plain_loss_value(kind, f, y)
+    v = loss_value(kind, f, y)
     second = np.diff(v, 2)
     assert second.min() >= -1e-9
 
@@ -175,8 +171,8 @@ def test_deriv_matches_finite_differences(kind, f, y):
         f = y + 1e-3 + abs(r)  # step away from the kink
     if kind.name == "huber" and abs(abs(f - y) - kind.param) < 1e-3:
         f += 2e-3
-    fd = (plain_loss_value(kind, f + h, y) - plain_loss_value(kind, f - h, y)) / (2 * h)
-    d = plain_dloss_df(kind, f, y)
+    fd = (loss_value(kind, f + h, y) - loss_value(kind, f - h, y)) / (2 * h)
+    d = dloss_df(kind, f, y)
     assert abs(d - fd) / (1.0 + abs(fd)) < 1e-6
 
 
@@ -184,7 +180,7 @@ def test_vectorized_matches_scalar():
     spec = LossSpec.parse("huber:1.0", "pinball:0.4")
     f = np.array([-2.0, 0.0, 0.5, 3.0])
     y = np.array([1.0, 0.0, -1.0, 2.0])
-    for side in ("upper", "lower"):
-        vec = dloss_df(spec, f, y, side)
-        scalar = [float(dloss_df(spec, fi, yi, side)) for fi, yi in zip(f, y)]
+    for kind in (spec.upper, spec.lower):
+        vec = dloss_df(kind, f, y)
+        scalar = [float(dloss_df(kind, fi, yi)) for fi, yi in zip(f, y)]
         assert np.allclose(vec, scalar)
