@@ -279,9 +279,13 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
 def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
     """Fail on a flag (or config key) that this run would silently ignore."""
     ignored = {}
-    if command == "benchmark" and opts.get("data"):
-        why = "with --data (the CSV fixes the rows, labels and corruption)"
-        ignored = {flags[0]: why for flags, _ in _process_args("50")}
+    if command == "benchmark":
+        if opts.get("data"):
+            why = "with --data (the CSV fixes the rows, labels and corruption)"
+            ignored = {flags[0]: why for flags, _ in _process_args("50")}
+        methods = _str_list(opts["methods"], "--methods")
+        if "huber" not in methods:
+            ignored["--huber-delta"] = f"with --methods {','.join(methods)} (only huber has a width)"
     elif command == "train" and opts["method"] in METHODS:
         method = opts["method"]
         if method not in DEFAULT_SPECS:

@@ -2,13 +2,15 @@
 
 All randomness (shuffles, dropout) is derived from the config seed through
 labeled streams, so a run is reproducible from (data, init theta, config)
-alone. Early stopping watches the validation loss (see validation_loss)
-against the observed validation labels and restores the best parameters
-seen.
+alone. Only a model that draws dropout masks (an mlp with dropout > 0)
+gets a per-step dropout stream; other models train with rng=None. Early
+stopping watches the validation loss (see validation_loss) against the
+observed validation labels and restores the best parameters seen.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -76,8 +78,9 @@ class TrainConfig:
     (DEFAULT_SPECS when spec is None) and weight the unlabeled term by rho.
     "mse", "mae" and "huber" are the label-trusting baselines: they train
     one loss on every label (squared, absolute, or huber of width
-    huber_delta), take no spec and ignore rho. naive_kind is that loss,
-    derived from the method; it is None for u2 and lu.
+    huber_delta), take no spec and ignore rho. huber_delta must be positive
+    for every method. naive_kind is that loss, derived from the method; it
+    is None for u2 and lu.
     """
 
     method: str
@@ -96,6 +99,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not self.huber_delta > 0:
+            raise ValueError("huber_delta must be positive")
         if self.method in DEFAULT_SPECS:
             if self.spec is None:
                 object.__setattr__(self, "spec", LossSpec.parse(*DEFAULT_SPECS[self.method]))
@@ -151,6 +156,10 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     mutated; the result carries a copy holding the best-validation
     parameters. step_callback, when given, is invoked as
     step_callback(global_step, model, grad_result) after each update.
+
+    Step s of a model with dropout > 0 (an mlp) draws its masks from
+    derive_rng(cfg.seed, "dropout", s). Every other model has no masks to
+    draw, so its steps derive no dropout stream and pass rng=None.
     """
     if len(train_ds) < 1:
         raise ValueError("training split must be nonempty")
@@ -171,13 +180,14 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     stopped_early = False
     t0 = time.perf_counter()
     global_step = 0
+    draws_masks = getattr(model, "dropout", 0.0) > 0.0
 
     for epoch in range(cfg.max_epochs):
         order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
         norms = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            rng = derive_rng(cfg.seed, "dropout", global_step)
+            rng = derive_rng(cfg.seed, "dropout", global_step) if draws_masks else None
             res = _batch_grad(model, train_ds.xs[idx], train_ds.ys_prime[idx], cfg, rng)
             if not np.all(np.isfinite(res.grad)):
                 raise FloatingPointError(
@@ -185,7 +195,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
                 )
             state, delta = adam_step(state, res.grad, cfg.adam)
             model.theta = model.theta + delta
-            norms.append(float(np.linalg.norm(res.grad)))
+            norms.append(math.sqrt(float(res.grad @ res.grad)))
             if step_callback is not None:
                 step_callback(global_step, model, res)
             global_step += 1

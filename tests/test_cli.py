@@ -384,6 +384,19 @@ def test_benchmark_rejects_train_only_flags(tmp_path, capsys):
     assert "unknown config keys for 'benchmark': lr" in capsys.readouterr().err
 
 
+def test_benchmark_rejects_huber_delta_without_huber(tmp_path, capsys):
+    small = ["benchmark", "--n", "40", "--d", "2", "--folds", "2", "--k", "50",
+             "--max-epochs", "1", "--lam-grid", "0.01"]
+    assert run(*small, "--methods", "u2,mse", "--huber-delta", "5") == 1
+    assert "--huber-delta has no effect with --methods u2,mse" in capsys.readouterr().err
+    config = tmp_path / "bench.json"
+    config.write_text(json.dumps({"methods": ["mse"], "huber_delta": 5}))
+    assert run(*small, "--config", str(config)) == 1
+    assert "--huber-delta has no effect with --methods mse" in capsys.readouterr().err
+    assert run(*small, "--methods", "mse,huber", "--huber-delta", "5") == 0
+    capsys.readouterr()
+
+
 def test_benchmark_data_rejects_process_flags(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     small = ["benchmark", "--data", cor, "--folds", "2", "--methods", "mse",

@@ -8,16 +8,19 @@ from u2reg import (
     AdamState,
     LinearModel,
     LossSpec,
+    MlpModel,
+    RbfLinearModel,
     SyntheticProcess,
     TrainConfig,
     adam_init,
     adam_step,
     generate_uncorrupted,
     train,
+    u2_batch_gradient,
 )
 from u2reg.data import Dataset
 from u2reg.optim import validation_loss
-from u2reg.rngutil import derive_seed
+from u2reg.rngutil import derive_rng, derive_seed
 
 from conftest import make_dataset
 
@@ -95,6 +98,8 @@ def test_train_config_validation():
         TrainConfig(method="mse", spec=SQ_ABS)  # a baseline has no two-sided loss
     with pytest.raises(ValueError):
         TrainConfig(method="huber", huber_delta=0.0)
+    with pytest.raises(ValueError):
+        TrainConfig(method="u2", huber_delta=-2.0)  # checked even where no loss uses it
     with pytest.raises(ValueError):
         mse_cfg(rho=-1.0)
     with pytest.raises(ValueError):
@@ -283,3 +288,66 @@ def test_history_records_are_ordered_and_finite():
     assert [h.epoch for h in res.history] == list(range(len(res.history)))
     assert all(np.isfinite(h.val_loss) and np.isfinite(h.grad_norm) for h in res.history)
     assert all(h.seconds >= 0.0 for h in res.history)
+
+
+# ---------------------------------------------------------------------------
+# per-step dropout stream
+# ---------------------------------------------------------------------------
+
+def _mlp(input_dim: int, dropout: float) -> MlpModel:
+    model = MlpModel(input_dim, (5,), dropout)
+    model.theta = model.init_theta(np.random.default_rng(1))
+    return model
+
+
+def test_only_a_model_with_dropout_derives_a_dropout_stream(monkeypatch):
+    labels = []
+
+    def spy(seed, *rest):
+        labels.append((seed, *rest))
+        return derive_rng(seed, *rest)
+
+    monkeypatch.setattr("u2reg.optim.derive_rng", spy)
+    ds = make_dataset(24, 2, seed=13)
+    cfg = TrainConfig("u2", rho=0.5, batch_size=8, max_epochs=3, patience=3, seed=5)
+    no_masks = (LinearModel(2), RbfLinearModel(ds.xs[:6], 1.0), _mlp(2, 0.0))
+    for model in no_masks:
+        labels.clear()
+        train(model, ds, ds, cfg)
+        assert labels == [(5, "shuffle", epoch) for epoch in range(3)], model.kind
+    labels.clear()
+    train(_mlp(2, 0.5), ds, ds, cfg)
+    assert [lab for lab in labels if lab[1] == "dropout"] == [(5, "dropout", s) for s in range(9)]
+
+
+def test_mlp_dropout_training_replays_by_hand():
+    # the reference loop keeps the per-step stream and np.linalg.norm, so
+    # train must match it bit for bit in theta, val_loss and grad_norm
+    ds = make_dataset(30, 3, seed=14)
+    val = make_dataset(12, 3, seed=15)
+    init = _mlp(3, 0.5)
+    cfg = TrainConfig("u2", rho=0.5, lam=1e-3, batch_size=8, max_epochs=4, patience=4, seed=21)
+    thetas = []
+    res = train(init, ds, val, cfg, step_callback=lambda s, m, g: thetas.append(m.theta.copy()))
+
+    model = init.clone_with_theta(init.theta)
+    state = adam_init(model.theta.size)
+    step = 0
+    for epoch in range(cfg.max_epochs):
+        order = derive_rng(cfg.seed, "shuffle", epoch).permutation(len(ds))
+        norms = []
+        for start in range(0, len(ds), cfg.batch_size):
+            idx = order[start : start + cfg.batch_size]
+            grad = u2_batch_gradient(model, ds.xs[idx], ds.ys_prime[idx], cfg.spec, cfg.rho,
+                                     cfg.lam, cfg.reg, derive_rng(cfg.seed, "dropout", step)).grad
+            state, delta = adam_step(state, grad, cfg.adam)
+            model.theta = model.theta + delta
+            norms.append(float(np.linalg.norm(grad)))
+            assert np.array_equal(thetas[step], model.theta)
+            step += 1
+        record = res.history[epoch]
+        assert record.val_loss == validation_loss(model, val, cfg)
+        assert record.grad_norm == float(np.mean(norms))
+    assert step == len(thetas) == 16
+    best = init.theta if res.best_epoch < 0 else thetas[4 * res.best_epoch + 3]
+    assert np.array_equal(res.model.theta, best)
