@@ -51,13 +51,13 @@ from .models import (
     rbf_features,
     save_model,
 )
-from .optim import AdamParams, AdamState, TrainConfig, TrainResult, adam_init, adam_step, train
+from .optim import AdamState, TrainConfig, TrainResult, adam_init, adam_step, train
 from .rngutil import derive_rng, derive_seed
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamParams", "AdamState", "ArchSpec", "BenchmarkReport", "BenchmarkTask",
+    "AdamState", "ArchSpec", "BenchmarkReport", "BenchmarkTask",
     "BiasDiagnostics", "Dataset", "GradResult", "GridSpec", "Hyperparams",
     "LinearModel", "LossKind", "LossSpec", "MlpModel", "RbfLinearModel",
     "SyntheticProcess", "TrainConfig", "TrainResult", "adam_init", "adam_step",

@@ -43,7 +43,7 @@ from .models import (
     load_model,
     save_model,
 )
-from .optim import DEFAULT_SPECS, METHODS, AdamParams, TrainConfig, train
+from .optim import DEFAULT_SPECS, METHODS, TrainConfig, train
 from .rngutil import derive_rng, derive_seed
 
 
@@ -110,7 +110,7 @@ _MODEL_ARGS = [
     _arg("--dropout", type=float, default=0.5, help="mlp dropout rate"),
 ]
 
-# benchmark trains every method with its default losses and Adam settings and
+# benchmark trains every method with its default losses and learning rate and
 # takes each rbf width from --sigma-grid, so these train flags would do nothing
 _TRAIN_ONLY = ("--upper-loss", "--lower-loss", "--lr", "--sigma")
 _BENCHMARK_TRAIN_ARGS = [
@@ -128,12 +128,12 @@ ARG_TABLE = {
         ],
     },
     "corrupt": {
-        "help": "apply downward corruption to an existing dataset CSV",
+        "help": "apply paper-mode downward corruption to an existing dataset CSV "
+                "(strict mode needs each row's symmetric noise, which a CSV cannot "
+                "supply; use generate for strict-mode data)",
         "args": _COMMON + [
             _arg("--data", type=str, default=None, help="input CSV with a y_true column"),
             _arg("--k", type=str, default=None, help="corruption rate percent"),
-            _arg("--corruption-mode", type=str, default="paper",
-                 help="only 'paper' is valid for external data (see docs)"),
             _arg("--corruption-scale", type=float, default=2.0,
                  help="corruption width as a multiple of the noise std"),
             _arg("--noise-std", type=float, default=None,
@@ -390,12 +390,6 @@ def _run_corrupt(opts: dict) -> int:
     data = _require(opts, "data", "--data")
     out = _require(opts, "out", "--out")
     k = _one_float(_require(opts, "k", "--k"), "--k")
-    mode = _choice(opts["corruption_mode"], "--corruption-mode", CORRUPTION_MODES)
-    if mode == "strict":
-        raise CliError(
-            "--corruption-mode strict needs each row's symmetric noise, which "
-            "an external CSV cannot supply; use 'generate' for strict-mode data"
-        )
     ds = Dataset.from_csv(data)
     if ds.ys_true is None:
         raise CliError("corrupt needs a y_true column in the input CSV")
@@ -469,7 +463,7 @@ def _run_train(opts: dict) -> int:
         spec=_loss_spec_for(opts, method),
         rho=float(opts["rho"]), lam=float(opts["lam"]),
         huber_delta=float(opts["huber_delta"]), reg=_reg_from(opts),
-        adam=AdamParams(lr=float(opts["lr"])),
+        lr=float(opts["lr"]),
         batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),
         patience=int(opts["patience"]), seed=derive_seed(seed, "cli-train"),
     )

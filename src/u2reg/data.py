@@ -15,6 +15,7 @@ Two corruption modes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,14 +42,14 @@ class SyntheticProcess:
         if w.shape != (self.dim,):
             raise ValueError(f"weights shape {w.shape} does not match dim {self.dim}")
         object.__setattr__(self, "weights", w)
-        if self.beta <= 0:
-            raise ValueError("beta (noise precision) must be positive")
+        if not 0.0 < self.beta < math.inf:
+            raise ValueError("beta (noise precision) must be positive and finite")
         if not (0.0 <= self.k_percent <= 100.0):
             raise ValueError("k_percent must lie in [0, 100]")
         if self.mode not in CORRUPTION_MODES:
             raise ValueError(f"mode must be one of {CORRUPTION_MODES}")
-        if self.corruption_scale <= 0:
-            raise ValueError("corruption_scale must be positive")
+        if not 0.0 < self.corruption_scale < math.inf:
+            raise ValueError("corruption_scale must be positive and finite")
 
     @staticmethod
     def draw(
@@ -226,14 +227,8 @@ def corrupt(dataset: Dataset, process: SyntheticProcess, seed: int) -> Dataset:
     n = len(dataset)
     n_corrupt = int(round(n * process.k_percent / 100.0))
     rng = derive_rng(seed, "corrupt")
-    out = Dataset(
-        dataset.xs.copy(),
-        dataset.ys_true.copy(),
-        dataset.ys_true.copy(),
-        np.zeros(n, dtype=bool),
-    )
-    if n_corrupt == 0:
-        return out
+    ys_prime = dataset.ys_true.copy()
+    corrupted = np.zeros(n, dtype=bool)
     picked = rng.choice(n, size=n_corrupt, replace=False)
     width = process.corruption_scale * process.noise_std
     mag = np.abs(rng.standard_normal(n_corrupt) * width)
@@ -247,9 +242,10 @@ def corrupt(dataset: Dataset, process: SyntheticProcess, seed: int) -> Dataset:
         while bad.size:
             mag[bad] = np.abs(rng.standard_normal(bad.size) * width)
             bad = bad[mag[bad] <= floor[bad]]
-    out.ys_prime[picked] = out.ys_true[picked] - mag
-    out.corrupted[picked] = True
-    return out
+    ys_prime[picked] -= mag
+    corrupted[picked] = True
+    # built last, so that Dataset validates the corrupted labels
+    return Dataset(dataset.xs.copy(), ys_prime, dataset.ys_true.copy(), corrupted)
 
 
 # ---------------------------------------------------------------------------
@@ -306,14 +302,13 @@ def split_cv(
     folds: int,
     val_fraction: float,
     seed: int,
-    clean_test: bool = True,
 ) -> list[tuple[Dataset, Dataset, Dataset]]:
     """Seeded K-fold splits with a validation carve-out.
 
     Each fold's test block is one chunk of a seeded permutation; the rest is
     shuffled again and round(val_fraction * rest) rows become validation.
-    When provenance is available and clean_test is set, corrupted rows are
-    dropped from the test block: incomplete observations are not scored.
+    When provenance is available, corrupted rows are dropped from the test
+    block: incomplete observations are not scored.
     """
     n = len(dataset)
     if not (2 <= folds <= n):
@@ -327,7 +322,7 @@ def split_cv(
         rest = np.concatenate([c for j, c in enumerate(chunks) if j != fold_i])
         rng = derive_rng(seed, "cv-val", fold_i)
         val_idx, train_idx = carve_validation(rest, val_fraction, rng)
-        if clean_test and dataset.corrupted is not None:
+        if dataset.corrupted is not None:
             test_idx = test_idx[~dataset.corrupted[test_idx]]
         out.append((dataset.subset(train_idx), dataset.subset(val_idx), dataset.subset(test_idx)))
     return out

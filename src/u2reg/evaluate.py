@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class GridSpec:
     def __post_init__(self):
         for name in ("rhos", "lams", "sigmas"):
             values = tuple(float(v) for v in getattr(self, name))
-            if len(values) == 0 or any(v <= 0 for v in values):
-                raise ValueError(f"{name} must be a nonempty tuple of positive reals")
+            if len(values) == 0 or not all(0.0 < v < math.inf for v in values):
+                raise ValueError(f"{name} must be a nonempty tuple of positive finite reals")
             object.__setattr__(self, name, values)
 
 
@@ -246,22 +246,9 @@ class BenchmarkReport:
         raise KeyError(f"no summary for method={method!r}, k={k!r}")
 
     def to_json(self) -> str:
-        payload = {
-            "task": self.task,
-            "target_label": self.target_label,
-            "n": self.n,
-            "d": self.d,
-            "beta": self.beta,
-            "corruption_scale": self.corruption_scale,
-            "label_scale": self.label_scale,
-            "folds": self.folds,
-            "val_fraction": self.val_fraction,
-            "seeds": self.seeds,
-            "methods": self.methods,
-            "k_list": self.k_list,
-            "errors": self.errors,
-            "summaries": [vars(s) for s in self.summaries],
-        }
+        """Every field but the per-point rows, which to_points_csv writes."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "points"}
+        payload["summaries"] = [vars(s) for s in self.summaries]
         return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
     def to_text(self) -> str:

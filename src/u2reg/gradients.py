@@ -33,6 +33,7 @@ unlabeled-only for the mirror.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,16 +41,6 @@ import numpy as np
 from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_coeff
 
 REGULARIZERS = ("l1", "l2")
-
-
-def reg_value(reg: str | None, theta: np.ndarray) -> float:
-    if reg is None:
-        return 0.0
-    if reg == "l1":
-        return float(np.abs(theta).sum())
-    if reg == "l2":
-        return float((theta * theta).sum())
-    raise ValueError(f"regularizer must be one of {REGULARIZERS}, got {reg!r}")
 
 
 def reg_grad(reg: str | None, theta: np.ndarray) -> np.ndarray:
@@ -70,7 +61,6 @@ def partition_upper(preds: np.ndarray, ys: np.ndarray) -> np.ndarray:
 @dataclass
 class GradResult:
     grad: np.ndarray
-    preds: np.ndarray
     trusted: np.ndarray  # boolean mask of rows whose labels were used
 
 
@@ -97,10 +87,10 @@ def u2_batch_gradient(
     on f < y, reweighted by rho, which stands for the clean fraction exactly
     as in the downward form.
     """
-    if rho < 0.0:
-        raise ValueError("rho must be nonnegative")
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= rho < math.inf:
+        raise ValueError("rho must be nonnegative and finite")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     ys = np.asarray(ys, dtype=float)
     preds, cache = model.forward_train(xs, rng)
     if mirror:
@@ -113,7 +103,7 @@ def u2_batch_gradient(
     grad = model.backward_weighted(cache, coeff)
     if lam > 0.0:
         grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, preds, trusted)
+    return GradResult(grad, trusted)
 
 
 def naive_batch_gradient(
@@ -126,15 +116,15 @@ def naive_batch_gradient(
     rng=None,
 ) -> GradResult:
     """Plain mean gradient of a single-kind loss; trusts every label."""
-    if lam < 0.0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError("lam must be nonnegative and finite")
     ys = np.asarray(ys, dtype=float)
     preds, cache = model.forward_train(xs, rng)
     coeff = dloss_df(kind, preds, ys)
     grad = model.backward_weighted(cache, coeff / ys.size)
     if lam > 0.0:
         grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, preds, np.ones(ys.size, dtype=bool))
+    return GradResult(grad, np.ones(ys.size, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +162,7 @@ def u2_dataset_gradient_estimate(
     if n_up > 0:
         d_up = dloss_df(spec.upper, preds, ys)
         coeff = coeff + np.where(up, (d_up - c_g) * (pi_up / n_up), 0.0)
-    return GradResult(model.backward_weighted(cache, coeff), preds, up)
+    return GradResult(model.backward_weighted(cache, coeff), up)
 
 
 def population_gradient_oracle(

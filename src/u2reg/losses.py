@@ -23,6 +23,7 @@ Conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class LossKind:
             if self.param is None or not (0.0 < self.param < 1.0):
                 raise ValueError("pinball requires a quantile level in (0, 1)")
         elif self.name == "huber":
-            if self.param is None or self.param <= 0.0:
-                raise ValueError("huber requires a positive transition width")
+            if self.param is None or not 0.0 < self.param < math.inf:
+                raise ValueError("huber requires a positive, finite transition width")
         elif self.param is not None:
             raise ValueError(f"{self.name} takes no parameter")
 

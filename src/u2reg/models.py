@@ -18,6 +18,7 @@ optimizer never needs to know the architecture.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -44,8 +45,8 @@ class ArchSpec:
     def __post_init__(self):
         if self.kind not in ("linear", "rbf", "mlp"):
             raise ValueError(f"unknown model kind {self.kind!r}")
-        if self.kind == "rbf" and (self.sigma is None or self.sigma <= 0):
-            raise ValueError("rbf model needs a positive sigma")
+        if self.kind == "rbf" and (self.sigma is None or not 0.0 < self.sigma < math.inf):
+            raise ValueError("rbf model needs a positive, finite sigma")
         if self.kind == "mlp":
             if len(self.hidden) == 0 or any(h < 1 for h in self.hidden):
                 raise ValueError("mlp needs at least one positive hidden width")
@@ -120,8 +121,8 @@ class RbfLinearModel:
         bases = np.atleast_2d(np.asarray(bases, dtype=float))
         if bases.shape[0] < 1:
             raise ValueError("rbf model needs at least one base")
-        if sigma <= 0:
-            raise ValueError("rbf sigma must be positive")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("rbf sigma must be positive and finite")
         self.bases = bases
         self.sigma = float(sigma)
         self.input_dim = bases.shape[1]
@@ -293,20 +294,23 @@ def init_model(
     linear and rbf start at theta = 0; the mlp draws its weights from the
     fan-balanced uniform law, deterministically from the seed.
     """
+    model = _build(arch, input_dim, rbf_bases, None)
+    if arch.kind == "mlp":
+        model.theta = model.init_theta(derive_rng(seed, "mlp-init"))
+    return model
+
+
+def _build(arch: ArchSpec, input_dim: int, bases, theta) -> Model:
+    """The model arch describes; theta None means all zeros."""
     if input_dim < 1:
         raise ValueError("input_dim must be a positive integer")
     if arch.kind == "linear":
-        return LinearModel(input_dim)
+        return LinearModel(input_dim, theta)
     if arch.kind == "rbf":
-        if rbf_bases is None:
+        if bases is None:
             raise ValueError("rbf model needs basis points (pass the training inputs)")
-        bases = np.atleast_2d(np.asarray(rbf_bases, dtype=float))
-        if bases.shape[0] < 1:
-            raise ValueError("rbf model needs at least one basis point")
-        return RbfLinearModel(bases, arch.sigma)
-    model = MlpModel(input_dim, arch.hidden, arch.dropout)
-    model.theta = model.init_theta(derive_rng(seed, "mlp-init"))
-    return model
+        return RbfLinearModel(bases, arch.sigma, theta)
+    return MlpModel(input_dim, arch.hidden, arch.dropout, theta)
 
 
 def param_jacobian(model: Model, x: np.ndarray, rng=None) -> np.ndarray:
@@ -350,14 +354,9 @@ def model_from_payload(payload: dict) -> Model:
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}")
     kind = payload["kind"]
-    theta = np.asarray(payload["theta"], dtype=float)
-    if kind == "linear":
-        return LinearModel(payload["input_dim"], theta)
-    if kind == "rbf":
-        return RbfLinearModel(np.asarray(payload["bases"], dtype=float), payload["sigma"], theta)
-    if kind == "mlp":
-        return MlpModel(payload["input_dim"], tuple(payload["hidden"]), payload["dropout"], theta)
-    raise ValueError(f"unknown model kind {kind!r} in model file")
+    mlp = {"hidden": tuple(payload["hidden"]), "dropout": payload["dropout"]} if kind == "mlp" else {}
+    arch = ArchSpec(kind, sigma=payload.get("sigma"), **mlp)
+    return _build(arch, payload["input_dim"], payload.get("bases"), payload["theta"])
 
 
 def save_model(model: Model, path: str, extra: dict | None = None) -> None:

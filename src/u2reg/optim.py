@@ -1,5 +1,9 @@
 """Adam optimizer and the mini-batch training loop.
 
+Adam runs at its published constants BETA1, BETA2 and EPS (Kingma & Ba
+2015, arXiv:1412.6980), which are fixed; only the step size TrainConfig.lr
+is set per run.
+
 All randomness (shuffles, dropout) is derived from the config seed through
 labeled streams, so a run is reproducible from (data, init theta, config)
 alone. Only a model that draws dropout masks (an mlp with dropout > 0)
@@ -16,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gradients import GradResult, naive_batch_gradient, u2_batch_gradient
+from .gradients import REGULARIZERS, GradResult, naive_batch_gradient, u2_batch_gradient
 from .losses import LossKind, LossSpec, loss_value
 from .rngutil import derive_rng
 
@@ -26,22 +30,9 @@ METHODS = ("u2", "lu", "mse", "mae", "huber")
 # lower side, so its default is absolute on both.
 DEFAULT_SPECS = {"u2": ("squared", "absolute"), "lu": ("absolute", "absolute")}
 _ABSOLUTE = LossKind("absolute")
-
-
-@dataclass(frozen=True)
-class AdamParams:
-    lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError("lr must be positive")
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -55,14 +46,14 @@ def adam_init(n_params: int) -> AdamState:
     return AdamState(np.zeros(n_params), np.zeros(n_params), 0)
 
 
-def adam_step(state: AdamState, grad: np.ndarray, params: AdamParams) -> tuple[AdamState, np.ndarray]:
+def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> tuple[AdamState, np.ndarray]:
     """One bias-corrected Adam update; returns (new state, theta delta)."""
     t = state.t + 1
-    m = params.beta1 * state.m + (1.0 - params.beta1) * grad
-    v = params.beta2 * state.v + (1.0 - params.beta2) * grad * grad
-    m_hat = m / (1.0 - params.beta1**t)
-    v_hat = v / (1.0 - params.beta2**t)
-    delta = -params.lr * m_hat / (np.sqrt(v_hat) + params.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    delta = -lr * m_hat / (np.sqrt(v_hat) + EPS)
     return AdamState(m, v, t), delta
 
 
@@ -80,7 +71,8 @@ class TrainConfig:
     one loss on every label (squared, absolute, or huber of width
     huber_delta), take no spec and ignore rho. huber_delta must be positive
     for every method. naive_kind is that loss, derived from the method; it
-    is None for u2 and lu.
+    is None for u2 and lu. lr is Adam's step size. reg is "l1", "l2" or
+    None, and rho, lam, huber_delta and lr must be finite.
     """
 
     method: str
@@ -89,7 +81,7 @@ class TrainConfig:
     lam: float = 0.0
     huber_delta: float = 1.0
     reg: str | None = "l2"
-    adam: AdamParams = field(default_factory=AdamParams)
+    lr: float = 1e-3
     batch_size: int = 32
     max_epochs: int = 500
     patience: int = 20
@@ -99,8 +91,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not self.huber_delta > 0:
-            raise ValueError("huber_delta must be positive")
+        if not 0.0 < self.huber_delta < math.inf:
+            raise ValueError("huber_delta must be positive and finite")
+        if self.reg not in REGULARIZERS + (None,):
+            raise ValueError(f"reg must be one of {REGULARIZERS} or None, got {self.reg!r}")
         if self.method in DEFAULT_SPECS:
             if self.spec is None:
                 object.__setattr__(self, "spec", LossSpec.parse(*DEFAULT_SPECS[self.method]))
@@ -111,10 +105,12 @@ class TrainConfig:
         else:
             object.__setattr__(self, "naive_kind",
                                LossKind("squared" if self.method == "mse" else "absolute"))
-        if self.rho < 0:
-            raise ValueError("rho must be nonnegative")
-        if self.lam < 0:
-            raise ValueError("lam must be nonnegative")
+        if not 0.0 <= self.rho < math.inf:
+            raise ValueError("rho must be nonnegative and finite")
+        if not 0.0 <= self.lam < math.inf:
+            raise ValueError("lam must be nonnegative and finite")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be positive and finite")
         if self.batch_size < 1:
             raise ValueError("batch_size must be positive")
         if self.max_epochs < 0:
@@ -193,7 +189,7 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
                 raise FloatingPointError(
                     f"non-finite gradient at epoch {epoch}, step {global_step}"
                 )
-            state, delta = adam_step(state, res.grad, cfg.adam)
+            state, delta = adam_step(state, res.grad, cfg.lr)
             model.theta = model.theta + delta
             norms.append(math.sqrt(float(res.grad @ res.grad)))
             if step_callback is not None:

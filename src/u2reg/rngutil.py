@@ -20,14 +20,10 @@ def _label_to_int(label) -> int:
     return int.from_bytes(digest, "little")
 
 
-def derive_seed_sequence(seed: int, *labels) -> np.random.SeedSequence:
-    entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
-    return np.random.SeedSequence(entropy)
-
-
 def derive_rng(seed: int, *labels) -> np.random.Generator:
     """Generator for the sub-stream named by ``labels`` under ``seed``."""
-    return np.random.default_rng(derive_seed_sequence(seed, *labels))
+    entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def derive_seed(seed: int, *labels) -> int:

@@ -259,6 +259,38 @@ def test_predict_feature_mismatch_leaves_no_file(pipeline, tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_predict_rejects_an_mlp_file_that_fails_the_archspec_checks(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    model_path = str(tmp_path / "mlp.json")
+    assert run("train", "--data", cor, "--model", "mlp", "--hidden", "4", "--max-epochs", "1",
+               "--out", model_path) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    with open(model_path, "w", encoding="utf-8") as fh:
+        json.dump({**payload, "dropout": 1.0}, fh)
+    out = str(tmp_path / "preds.csv")
+    assert run("predict", "--data", cor, "--model-file", model_path, "--out", out) == 1
+    assert "dropout" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_finite_numbers_exit_one_and_leave_no_file(pipeline, capsys):
+    tmp_path, data, cor = pipeline
+    out = str(tmp_path / "out")
+    train = ("train", "--data", cor, "--max-epochs", "1")
+    for argv in (
+        ("generate", "--n", "50", "--k", "50", "--corruption-scale", "nan"),
+        ("generate", "--n", "50", "--k", "50", "--corruption-scale", "inf"),
+        ("corrupt", "--data", data, "--k", "50", "--noise-std", "nan"),
+        ("corrupt", "--data", data, "--k", "50", "--corruption-scale", "nan"),
+        *((*train, flag, value) for flag in ("--lambda", "--lr", "--rho") for value in ("nan", "inf")),
+        ("benchmark", "--n", "60", "--folds", "2", "--lam-grid", "nan"),
+    ):
+        assert run(*argv, "--out", out) == 1, argv
+        assert not os.path.exists(out), argv
+    capsys.readouterr()
+
+
 def test_predict_to_stdout(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     model_path = str(tmp_path / "m4.json")

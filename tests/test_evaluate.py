@@ -77,6 +77,10 @@ def test_grid_spec_defaults_and_validation():
         GridSpec(lams=(0.1, -0.5))
     with pytest.raises(ValueError):
         GridSpec(sigmas=(0.0,))
+    with pytest.raises(ValueError):
+        GridSpec(lams=(np.nan,))
+    with pytest.raises(ValueError):
+        GridSpec(rhos=(0.1, np.inf))
 
 
 # ---------------------------------------------------------------------------

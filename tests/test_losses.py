@@ -86,8 +86,9 @@ def test_kind_validation():
         LossKind("pinball")  # needs a quantile level
     with pytest.raises(ValueError):
         LossKind("pinball", 1.0)
-    with pytest.raises(ValueError):
-        LossKind("huber", -1.0)
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            LossKind("huber", bad)
     with pytest.raises(ValueError):
         LossKind("squared", 2.0)  # takes no parameter
 

@@ -33,12 +33,15 @@ def test_archspec_validation():
         ArchSpec("tree")
     with pytest.raises(ValueError):
         ArchSpec("rbf")  # sigma required
-    with pytest.raises(ValueError):
-        ArchSpec("rbf", sigma=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            ArchSpec("rbf", sigma=bad)
     with pytest.raises(ValueError):
         ArchSpec("mlp", hidden=())
     with pytest.raises(ValueError):
         ArchSpec("mlp", hidden=(4,), dropout=1.0)
+    with pytest.raises(ValueError):
+        ArchSpec("mlp", hidden=(4,), dropout=np.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +110,8 @@ def test_rbf_constructor_errors():
         RbfLinearModel(np.zeros((0, 2)), sigma=1.0)
     with pytest.raises(ValueError):
         RbfLinearModel(np.zeros((3, 2)), sigma=-1.0)
+    with pytest.raises(ValueError):
+        RbfLinearModel(np.zeros((3, 2)), sigma=np.nan)
     with pytest.raises(ValueError):
         RbfLinearModel(np.zeros((3, 2)), sigma=1.0, theta=np.zeros(4))
 
@@ -300,6 +305,18 @@ def test_unsupported_version_rejected(tmp_path):
     payload["kind"] = "forest"
     with pytest.raises(ValueError):
         model_from_payload(payload)
+
+
+def test_load_model_applies_the_archspec_checks(tmp_path):
+    path = os.path.join(tmp_path, "mlp.json")
+    save_model(MlpModel(2, (3,), 0.25), path)
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for key, bad in (("dropout", 1.0), ("dropout", -0.5), ("hidden", [0])):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump({**payload, key: bad}, fh)
+        with pytest.raises(ValueError):
+            load_model(path)
 
 
 def test_save_is_deterministic_and_atomic(tmp_path):

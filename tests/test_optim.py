@@ -1,10 +1,11 @@
 """Adam updates and the early-stopping training loop."""
 
+import math
+
 import numpy as np
 import pytest
 
 from u2reg import (
-    AdamParams,
     AdamState,
     LinearModel,
     LossSpec,
@@ -38,35 +39,29 @@ def mse_cfg(**kw) -> TrainConfig:
 # ---------------------------------------------------------------------------
 
 def test_adam_params_validation():
-    with pytest.raises(ValueError):
-        AdamParams(lr=0.0)
-    with pytest.raises(ValueError):
-        AdamParams(beta1=1.0)
-    with pytest.raises(ValueError):
-        AdamParams(beta2=-0.1)
-    with pytest.raises(ValueError):
-        AdamParams(eps=0.0)
+    for bad in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mse_cfg(lr=bad)
 
 
 def test_adam_first_step_is_signed_lr():
-    params = AdamParams(lr=1e-3)
+    lr = 1e-3
     grad = np.array([3.0, -0.02, 1e4, -1e-3])
-    _state, delta = adam_step(adam_init(4), grad, params)
-    assert np.max(np.abs(delta + params.lr * np.sign(grad))) < 1e-6
+    _state, delta = adam_step(adam_init(4), grad, lr)
+    assert np.max(np.abs(delta + lr * np.sign(grad))) < 1e-6
 
 
 def test_adam_zero_gradient_moves_nothing():
-    state, delta = adam_step(adam_init(3), np.zeros(3), AdamParams())
+    state, delta = adam_step(adam_init(3), np.zeros(3), 1e-3)
     assert np.array_equal(delta, np.zeros(3))
     assert state.t == 1
 
 
 def test_adam_step_is_pure():
-    params = AdamParams()
     s0 = adam_init(2)
     g = np.array([1.0, -2.0])
-    s1a, d1a = adam_step(s0, g, params)
-    s1b, d1b = adam_step(s0, g, params)
+    s1a, d1a = adam_step(s0, g, 1e-3)
+    s1b, d1b = adam_step(s0, g, 1e-3)
     assert s0.t == 0 and np.all(s0.m == 0.0) and np.all(s0.v == 0.0)
     assert s1a.t == s1b.t == 1
     assert np.array_equal(d1a, d1b)
@@ -74,14 +69,14 @@ def test_adam_step_is_pure():
 
 
 def test_adam_recurrence_matches_by_hand():
-    params = AdamParams(lr=0.1, beta1=0.5, beta2=0.8, eps=1e-8)
+    # Adam's published constants: beta1 = 0.9, beta2 = 0.999, eps = 1e-8
     g1, g2 = np.array([2.0]), np.array([-1.0])
-    s1, d1 = adam_step(adam_init(1), g1, params)
-    s2, d2 = adam_step(s1, g2, params)
-    m2 = 0.5 * (0.5 * g1) + 0.5 * g2
-    v2 = 0.8 * (0.2 * g1 * g1) + 0.2 * g2 * g2
-    m_hat = m2 / (1 - 0.5**2)
-    v_hat = v2 / (1 - 0.8**2)
+    s1, d1 = adam_step(adam_init(1), g1, 0.1)
+    s2, d2 = adam_step(s1, g2, 0.1)
+    m2 = 0.9 * (0.1 * g1) + 0.1 * g2
+    v2 = 0.999 * (0.001 * g1 * g1) + 0.001 * g2 * g2
+    m_hat = m2 / (1 - 0.9**2)
+    v_hat = v2 / (1 - 0.999**2)
     assert s2.t == 2
     assert np.allclose(s2.m, m2) and np.allclose(s2.v, v2)
     assert np.allclose(d2, -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8))
@@ -101,9 +96,14 @@ def test_train_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(method="u2", huber_delta=-2.0)  # checked even where no loss uses it
     with pytest.raises(ValueError):
-        mse_cfg(rho=-1.0)
-    with pytest.raises(ValueError):
-        mse_cfg(lam=-0.5)
+        TrainConfig(method="u2", reg="l3")
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            mse_cfg(rho=bad)
+        with pytest.raises(ValueError):
+            mse_cfg(lam=bad)
+        with pytest.raises(ValueError):
+            TrainConfig(method="huber", huber_delta=bad)
     with pytest.raises(ValueError):
         mse_cfg(batch_size=0)
     with pytest.raises(ValueError):
@@ -174,7 +174,7 @@ def test_train_recovers_noiseless_linear_target():
         ("u2", dict(spec=SQ_ABS, rho=0.5)),
     ):
         cfg = TrainConfig(
-            method=method, adam=AdamParams(lr=5e-3), batch_size=32,
+            method=method, lr=5e-3, batch_size=32,
             max_epochs=200, patience=200, lam=0.0, seed=3, **kw,
         )
         res = train(LinearModel(2), ds, val, cfg)
@@ -203,7 +203,7 @@ def test_restored_model_matches_best_epoch_not_last():
     ds = generate_uncorrupted(proc, 80, derive_seed(10, "op-data"))
     val = generate_uncorrupted(proc, 40, derive_seed(10, "op-val"))
     thetas = []
-    cfg = mse_cfg(adam=AdamParams(lr=0.05), max_epochs=40, patience=40,
+    cfg = mse_cfg(lr=0.05, max_epochs=40, patience=40,
                   batch_size=80, seed=1)
     res = train(LinearModel(2), ds, val, cfg, step_callback=lambda s, m, g: thetas.append(m.theta.copy()))
     assert res.best_epoch >= 0
@@ -239,7 +239,7 @@ def test_patience_counts_epochs_without_improvement():
     ds = Dataset(xs, ys)
     init = LinearModel(2, theta)
     res = train(init, ds, ds, mse_cfg(max_epochs=100, patience=5, batch_size=50,
-                                      adam=AdamParams(lr=0.5), seed=2))
+                                      lr=0.5, seed=2))
     assert res.stopped_early
     assert len(res.history) == 5
     assert res.best_epoch == -1
@@ -266,7 +266,7 @@ def test_partition_is_refreshed_from_the_current_model():
     ds = Dataset(xs, ys)
     masks = []
     cfg = TrainConfig(method="u2", spec=SQ_ABS, rho=1.0, lam=0.0,
-                      adam=AdamParams(lr=0.05), batch_size=40, max_epochs=60,
+                      lr=0.05, batch_size=40, max_epochs=60,
                       patience=60, seed=0)
     train(LinearModel(2), ds, ds, cfg,
           step_callback=lambda s, m, g: masks.append(g.trusted.copy()))
@@ -340,7 +340,7 @@ def test_mlp_dropout_training_replays_by_hand():
             idx = order[start : start + cfg.batch_size]
             grad = u2_batch_gradient(model, ds.xs[idx], ds.ys_prime[idx], cfg.spec, cfg.rho,
                                      cfg.lam, cfg.reg, derive_rng(cfg.seed, "dropout", step)).grad
-            state, delta = adam_step(state, grad, cfg.adam)
+            state, delta = adam_step(state, grad, cfg.lr)
             model.theta = model.theta + delta
             norms.append(float(np.linalg.norm(grad)))
             assert np.array_equal(thetas[step], model.theta)
