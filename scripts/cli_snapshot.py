@@ -6,9 +6,13 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config, stdout output and two rejected invocations
-(names starting with "reject-", which exit 1). Run it once per checkout
-into two directories and compare them with `diff -r`: a refactor that keeps
-the CLI's behaviour leaves no difference.
+(names starting with "reject-", which exit 1). The benchmark runs also reach
+the training engine's early stopping (all five methods, patience 2), rbf
+grids over two sigmas, an mlp grid with dropout, and a grid with one failing
+rho = 1e308 cell. Warnings are written as "Category: message" lines without
+their source location, which differs between checkouts. Run it once per
+checkout into two directories and compare them with `diff -r`: a refactor
+that keeps the CLI's behaviour leaves no difference.
 """
 
 import contextlib
@@ -16,6 +20,7 @@ import io
 import json
 import os
 import sys
+import warnings
 
 from u2reg.cli import run_cli
 
@@ -47,6 +52,22 @@ RUNS = [
     ("benchmark-rbf-stdout", ["benchmark", "--data", "cor.csv", "--methods", "mse", "--model", "rbf",
                               "--sigma-grid", "1,2", "--folds", "2", "--max-epochs", "2",
                               "--lam-grid", "0.1"]),
+    ("benchmark-early-stop", ["benchmark", "--n", "120", "--d", "3", "--k", "50", "--methods",
+                              "u2,lu,mse,mae,huber", "--folds", "2", "--batch-size", "8",
+                              "--max-epochs", "60", "--patience", "2", "--rho-grid", "0.5,1", "--lam-grid", "0.01,0.1",
+                              "--seed", "8", "--out", "bench-stop.json", "--points",
+                              "bench-stop-points.csv"]),
+    ("benchmark-rbf-u2", ["benchmark", "--data", "cor.csv", "--methods", "u2", "--model", "rbf",
+                          "--sigma-grid", "1,2", "--rho-grid", "0.5,1", "--lam-grid", "0.01",
+                          "--folds", "2", "--max-epochs", "5", "--seed", "9",
+                          "--out", "bench-rbf-u2.json"]),
+    ("benchmark-mlp", ["benchmark", "--data", "cor.csv", "--methods", "u2,mse", "--model", "mlp",
+                       "--hidden", "6,4", "--dropout", "0.25", "--rho-grid", "0.5,1",
+                       "--lam-grid", "0.01,0.1", "--folds", "2", "--max-epochs", "4",
+                       "--seed", "10", "--out", "bench-mlp.json"]),
+    ("benchmark-failing-cell", ["benchmark", "--data", "cor.csv", "--methods", "u2",
+                                "--rho-grid", "1,1e308", "--lam-grid", "0.01", "--folds", "2",
+                                "--max-epochs", "3", "--seed", "11", "--out", "bench-fail.json"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),
@@ -59,7 +80,12 @@ RUNS = [
 CONFIG = {"method": "u2", "lam": 0.01, "rho": 0.5, "max_epochs": 5, "batch_size": 16}
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"{category.__name__}: {message}", file=sys.stderr)
+
+
 def main(out: str) -> None:
+    warnings.showwarning = _show_warning
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
     with open("config.json", "w", encoding="utf-8") as fh:

@@ -51,7 +51,8 @@ from .models import (
     rbf_features,
     save_model,
 )
-from .optim import AdamState, TrainConfig, TrainResult, adam_init, adam_step, train
+from .optim import (AdamState, TrainConfig, TrainResult, adam_init, adam_step, train,
+                    train_cells)
 from .rngutil import derive_rng, derive_seed
 
 __version__ = "0.1.0"
@@ -68,6 +69,6 @@ __all__ = [
     "mean_signed_error", "naive_batch_gradient",
     "param_jacobian", "partition_upper", "population_gradient_oracle",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
-    "train", "u2_batch_gradient", "u2_dataset_gradient_estimate",
+    "train", "train_cells", "u2_batch_gradient", "u2_dataset_gradient_estimate",
     "upper_grad_coeff", "window_features",
 ]

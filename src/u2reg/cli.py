@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -397,8 +398,14 @@ def _run_corrupt(opts: dict) -> int:
     noise_std = float(noise_std) if noise_std is not None else float(np.std(ds.ys_true))
     if noise_std <= 0:
         raise CliError("noise std must be positive (constant y_true needs --noise-std)")
+    try:
+        beta = noise_std**-2
+    except OverflowError:  # the precision of a tiny std overflows a float
+        beta = math.inf
+    if not 0.0 < beta < math.inf:
+        raise CliError(f"noise std {noise_std:g} has no finite positive precision noise_std**-2")
     process = SyntheticProcess(
-        dim=ds.dim, weights=np.zeros(ds.dim), beta=noise_std**-2,
+        dim=ds.dim, weights=np.zeros(ds.dim), beta=beta,
         k_percent=k, mode="paper", corruption_scale=float(opts["corruption_scale"]),
     )
     result = corrupt(ds, process, derive_seed(int(opts["seed"]), "cli-corrupt"))

@@ -23,7 +23,7 @@ from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, spl
 from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
 from .losses import LossSpec, dloss_df
 from .models import ArchSpec, init_model
-from .optim import METHODS, TrainConfig, TrainResult, train
+from .optim import METHODS, TrainConfig, TrainResult, train_cells
 from .rngutil import derive_rng, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -109,43 +109,43 @@ def grid_search(
     """Train one model per grid cell and return the best validation cell.
 
     Every cell trains template (its method, losses and loop settings) with
-    the cell's rho, lambda and seed. Each cell is ranked on the best
-    validation_loss its run reached: the baselines on the loss they train,
-    u2 and lu on absolute error against the observed labels. The grid is
-    the Cartesian product of sigma (rbf models only), rho (u2 and lu only)
-    and lambda. Ties break toward
-    smaller lambda, then smaller rho, then smaller sigma, then declaration
-    order. A cell whose training raises is disqualified but recorded; the
-    search only fails if every cell does.
+    the cell's rho, lambda and seed. The grid is the Cartesian product of
+    sigma (rbf models only), rho (u2 and lu only) and lambda; the cells of
+    one sigma share a model structure and train together as one
+    optim.train_cells block, each exactly as it would alone. Each cell is
+    ranked on the best validation_loss its run reached: the baselines on the
+    loss they train, u2 and lu on absolute error against the observed
+    labels. Ties break toward smaller lambda, then smaller rho, then smaller
+    sigma, then declaration order. A cell whose training fails (a non-finite
+    gradient or parameter) is disqualified but recorded, and so is every
+    cell of a block that raises as a whole; the search only fails if every
+    cell does.
     """
     sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
     rhos = grid.rhos if template.naive_kind is None else (None,)
     cells: list[CellResult] = []
     outcomes: list[TrainResult | None] = []
-    index = 0
     for sigma in sigmas:
         cell_arch = replace(arch, sigma=sigma) if sigma is not None else arch
-        for rho in rhos:
-            for lam in grid.lams:
-                hyper = Hyperparams(rho=rho, lam=lam, sigma=sigma)
-                cfg = replace(
-                    template,
-                    rho=rho if rho is not None else template.rho,
-                    lam=lam,
-                    seed=derive_seed(seed, "grid-cell", index),
-                )
-                try:
-                    model = init_model(
-                        cell_arch, train_ds.dim, derive_seed(seed, "grid-init", index),
-                        rbf_bases=train_ds.xs,
-                    )
-                    result = train(model, train_ds, val_ds, cfg)
-                    cells.append(CellResult(index, hyper, result.best_val_loss))
-                    outcomes.append(result)
-                except Exception as exc:  # isolate the cell, keep searching
-                    cells.append(CellResult(index, hyper, math.inf, error=repr(exc)))
-                    outcomes.append(None)
-                index += 1
+        first = len(cells)
+        hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in grid.lams]
+        cfgs = [replace(template, rho=h.rho if h.rho is not None else template.rho, lam=h.lam,
+                        seed=derive_seed(seed, "grid-cell", first + i))
+                for i, h in enumerate(hypers)]
+        try:
+            models = [init_model(cell_arch, train_ds.dim, derive_seed(seed, "grid-init", first + i),
+                                 rbf_bases=train_ds.xs)
+                      for i in range(len(hypers))]
+            results = train_cells(models, train_ds, val_ds, cfgs)
+        except Exception as exc:  # the block failed as a whole; keep searching
+            results = [exc] * len(hypers)
+        for i, (hyper, result) in enumerate(zip(hypers, results)):
+            if isinstance(result, Exception):
+                cells.append(CellResult(first + i, hyper, math.inf, error=repr(result)))
+                outcomes.append(None)
+            else:
+                cells.append(CellResult(first + i, hyper, result.best_val_loss))
+                outcomes.append(result)
 
     def sort_key(cell: CellResult):
         h = cell.hyper

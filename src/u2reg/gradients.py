@@ -91,19 +91,8 @@ def u2_batch_gradient(
         raise ValueError("rho must be nonnegative and finite")
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam must be nonnegative and finite")
-    ys = np.asarray(ys, dtype=float)
-    preds, cache = model.forward_train(xs, rng)
-    if mirror:
-        trusted = ys < np.asarray(preds)
-        c, kind = upper_grad_coeff(spec), spec.lower
-    else:
-        trusted = partition_upper(preds, ys)
-        c, kind = lower_grad_coeff(spec), spec.upper
-    coeff = np.where(trusted, dloss_df(kind, preds, ys) - c, 0.0) + rho * c
-    grad = model.backward_weighted(cache, coeff)
-    if lam > 0.0:
-        grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, trusted)
+    return block_gradient(model, model.features(xs), np.asarray(ys, dtype=float), spec, rho,
+                          lam, reg, rng, mirror)
 
 
 def naive_batch_gradient(
@@ -118,13 +107,39 @@ def naive_batch_gradient(
     """Plain mean gradient of a single-kind loss; trusts every label."""
     if not 0.0 <= lam < math.inf:
         raise ValueError("lam must be nonnegative and finite")
-    ys = np.asarray(ys, dtype=float)
-    preds, cache = model.forward_train(xs, rng)
-    coeff = dloss_df(kind, preds, ys)
-    grad = model.backward_weighted(cache, coeff / ys.size)
-    if lam > 0.0:
-        grad = grad + lam * reg_grad(reg, model.theta)
-    return GradResult(grad, np.ones(ys.size, dtype=bool))
+    return block_gradient(model, model.features(xs), np.asarray(ys, dtype=float), kind, 0.0,
+                          lam, reg, rng)
+
+
+def block_gradient(model, feats, ys, loss, rho, lam, reg, rng, mirror=False) -> GradResult:
+    """The batch gradient both training paths share, from the rows' features.
+
+    loss is a LossSpec for the corrected form (rho weights the label-free
+    term, mirror as in u2_batch_gradient) or a LossKind for the naive mean
+    gradient, which trusts every label. feats are model.features of the
+    batch rows. Everything broadcasts over a leading cell axis: a (C, P)
+    model with feats (C, B, k), ys (C, B), rho and lam (C, 1) columns and one
+    rng per cell gives a (C, P) gradient, each row the same floats as that
+    cell's single-model gradient. A cell's penalty is added only where its
+    lam > 0.
+    """
+    preds, cache = model.forward(feats, rng)
+    if isinstance(loss, LossKind):
+        coeff = dloss_df(loss, preds, ys) / ys.shape[-1]
+        trusted = np.ones(ys.shape, dtype=bool)
+    else:
+        if mirror:
+            trusted = ys < preds
+            c, kind = upper_grad_coeff(loss), loss.lower
+        else:
+            trusted = partition_upper(preds, ys)
+            c, kind = lower_grad_coeff(loss), loss.upper
+        coeff = np.where(trusted, dloss_df(kind, preds, ys) - c, 0.0) + rho * c
+    grad = model.backward_weighted(cache, coeff)
+    penalized = np.asarray(lam) > 0.0
+    if penalized.any():
+        grad = np.where(penalized, grad + lam * reg_grad(reg, model.theta), grad)
+    return GradResult(grad, trusted)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,26 @@
 
 Three architectures share one small protocol:
 
-  - ``predict_batch(X)``: deterministic predictions, dropout off.
-  - ``forward_train(X, rng)``: predictions plus a cache for the backward
-    pass. For the MLP a train-mode rng draws inverted-dropout masks; passing
-    rng=None runs the same deterministic forward as prediction.
+  - ``features(X)``: the per-row array the forward pass reads: X itself
+    (checked) for linear and mlp, the kernel features phi(X) for rbf.
+  - ``forward(F, rng)``: predictions from features plus a cache for the
+    backward pass. For the MLP a train-mode rng draws inverted-dropout
+    masks; passing rng=None runs the same deterministic forward as
+    prediction.
   - ``backward_weighted(cache, w)``: sum_i w_i * d f(x_i) / d theta, computed
     in one reverse pass. With a one-hot weight this is the parameter Jacobian
     of a single prediction, and with loss-derivative weights it assembles a
     full batch gradient without materializing per-sample Jacobians.
+  - ``forward_train(X, rng)`` is ``forward(features(X), rng)`` and
+    ``predict_batch(X)`` its deterministic predictions.
 
-Parameters always live in a single flat float64 vector ``theta`` so the
-optimizer never needs to know the architecture.
+Parameters live in a flat float64 vector ``theta`` of length P so the
+optimizer never needs to know the architecture. theta may also be a (C, P)
+block of C cells of one structure, as the training engine holds them: then F
+is (C, B, k) (or (B, k), shared by every cell), w is (C, B), rng is a list of
+C generators, and every result gains the leading cell axis. The math is
+written once over ``...`` and each 2-D slice runs the same BLAS call as a
+single model, so a cell computes the same floats in a block as alone.
 """
 
 from __future__ import annotations
@@ -63,32 +72,34 @@ class LinearModel:
         self.input_dim = int(input_dim)
         if theta is None:
             theta = np.zeros(input_dim + 1)
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (input_dim + 1,):
-            raise ValueError(
-                f"theta length {theta.shape} does not match linear({input_dim}) "
-                f"which has {input_dim + 1} parameters"
-            )
-        self.theta = theta
+        self.theta = _as_theta(theta, input_dim + 1,
+                               f"linear({input_dim}) which has {input_dim + 1} parameters")
 
     @property
     def n_params(self) -> int:
         return self.input_dim + 1
 
+    def features(self, X: np.ndarray) -> np.ndarray:
+        return _check_inputs(X, self.input_dim)
+
+    def forward(self, F: np.ndarray, rng=None):
+        # w and b stay apart: folding b into the product would change the
+        # rounding. b goes in place, so a large F needs one output buffer.
+        t = self.theta
+        preds = np.matmul(F, t[..., :-1, None])
+        preds += t[..., -1:, None]
+        return preds[..., 0], F
+
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = _check_inputs(X, self.input_dim)
-        return X @ self.theta[:-1] + self.theta[-1]
+        return self.forward(self.features(X))[0]
 
     def forward_train(self, X: np.ndarray, rng=None):
-        X = _check_inputs(X, self.input_dim)
-        return X @ self.theta[:-1] + self.theta[-1], X
+        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
-        X = cache
-        g = np.empty(self.n_params)
-        g[:-1] = w @ X
-        g[-1] = w.sum()
-        return g
+        w = np.asarray(w, dtype=float)
+        return np.concatenate([np.matmul(w[..., None, :], cache)[..., 0, :],
+                               w.sum(axis=-1, keepdims=True)], axis=-1)
 
     def clone_with_theta(self, theta: np.ndarray) -> "LinearModel":
         return LinearModel(self.input_dim, np.array(theta, dtype=float))
@@ -128,12 +139,7 @@ class RbfLinearModel:
         self.input_dim = bases.shape[1]
         if theta is None:
             theta = np.zeros(bases.shape[0])
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (bases.shape[0],):
-            raise ValueError(
-                f"theta length {theta.shape} does not match {bases.shape[0]} bases"
-            )
-        self.theta = theta
+        self.theta = _as_theta(theta, bases.shape[0], f"{bases.shape[0]} bases")
 
     @property
     def n_params(self) -> int:
@@ -142,15 +148,17 @@ class RbfLinearModel:
     def features(self, X: np.ndarray) -> np.ndarray:
         return rbf_features(_check_inputs(X, self.input_dim), self.bases, self.sigma)
 
+    def forward(self, F: np.ndarray, rng=None):
+        return np.matmul(F, self.theta[..., None])[..., 0], F
+
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.features(X) @ self.theta
+        return self.forward(self.features(X))[0]
 
     def forward_train(self, X: np.ndarray, rng=None):
-        phi = self.features(X)
-        return phi @ self.theta, phi
+        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
-        return w @ cache
+        return np.matmul(np.asarray(w, dtype=float)[..., None, :], cache)[..., 0, :]
 
     def clone_with_theta(self, theta: np.ndarray) -> "RbfLinearModel":
         return RbfLinearModel(self.bases, self.sigma, np.array(theta, dtype=float))
@@ -188,25 +196,21 @@ class MlpModel:
         count = sum(win * wout + wout for win, wout in self._shapes)
         if theta is None:
             theta = np.zeros(count)
-        theta = np.asarray(theta, dtype=float)
-        if theta.shape != (count,):
-            raise ValueError(
-                f"theta length {theta.shape} does not match mlp{self.widths} "
-                f"which has {count} parameters"
-            )
-        self.theta = theta
+        self.theta = _as_theta(theta, count, f"mlp{self.widths} which has {count} parameters")
 
     @property
     def n_params(self) -> int:
-        return self.theta.shape[0]
+        return self.theta.shape[-1]
 
     def _layers(self, theta: np.ndarray):
+        """(W, b) per layer as views of theta: W (..., win, wout), b (..., 1, wout)."""
+        lead = theta.shape[:-1]
         out = []
         pos = 0
         for win, wout in self._shapes:
-            W = theta[pos : pos + win * wout].reshape(win, wout)
+            W = theta[..., pos : pos + win * wout].reshape(*lead, win, wout)
             pos += win * wout
-            b = theta[pos : pos + wout]
+            b = theta[..., None, pos : pos + wout]
             pos += wout
             out.append((W, b))
         return out
@@ -220,60 +224,75 @@ class MlpModel:
             parts.append(np.zeros(wout))
         return np.concatenate(parts)
 
-    def _forward(self, X: np.ndarray, rng):
-        layers = self._layers(self.theta)
+    def _mask(self, rng, shape) -> np.ndarray:
+        """Inverted-dropout mask; a block draws each cell's from its own rng."""
         keep = 1.0 - self.dropout
-        a = X
+        if self.theta.ndim == 1:
+            return (rng.random(shape) < keep) / keep
+        return np.stack([(r.random(shape[1:]) < keep) / keep for r in rng])
+
+    def features(self, X: np.ndarray) -> np.ndarray:
+        return _check_inputs(X, self.input_dim)
+
+    def forward(self, F: np.ndarray, rng=None):
+        layers = self._layers(self.theta)
+        a = F
         acts = [a]
         masks = []
         for li, (W, b) in enumerate(layers):
-            z = a @ W + b
+            z = np.matmul(a, W) + b
             if li < len(layers) - 1:
                 a = np.maximum(z, 0.0)
                 if rng is not None and self.dropout > 0.0:
-                    mask = (rng.random(a.shape) < keep) / keep
+                    mask = self._mask(rng, a.shape)
                     a = a * mask
                 else:
                     mask = None
                 masks.append(mask)
                 acts.append(a)
             else:
-                a = z[:, 0]
-        return a, (X, acts, masks)
+                a = z[..., 0]
+        return a, (F, acts, masks)
 
     def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        X = _check_inputs(X, self.input_dim)
-        return self._forward(X, None)[0]
+        return self.forward(self.features(X))[0]
 
     def forward_train(self, X: np.ndarray, rng=None):
-        X = _check_inputs(X, self.input_dim)
-        return self._forward(X, rng)
+        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
-        X, acts, masks = cache
+        _F, acts, masks = cache
         layers = self._layers(self.theta)
+        lead = self.theta.shape[:-1]
         grads = [None] * len(layers)
         # delta starts as d(sum_i w_i f_i)/d z_last, one column per output unit
-        delta = np.asarray(w, dtype=float)[:, None]
+        delta = np.asarray(w, dtype=float)[..., None]
         for li in range(len(layers) - 1, -1, -1):
             W, _b = layers[li]
-            a_prev = acts[li]
-            gW = a_prev.T @ delta
-            gb = delta.sum(axis=0)
-            grads[li] = (gW, gb)
+            gW = np.matmul(np.swapaxes(acts[li], -1, -2), delta)
+            gb = delta.sum(axis=-2)
+            grads[li] = (gW.reshape(*lead, -1), gb)
             if li > 0:
-                delta = delta @ W.T
+                delta = np.matmul(delta, np.swapaxes(W, -1, -2))
                 if masks[li - 1] is not None:
                     delta = delta * masks[li - 1]
                 # relu gate: activations are zero exactly where z <= 0
                 delta = delta * (acts[li] > 0)
-        return np.concatenate([np.concatenate([gW.ravel(), gb]) for gW, gb in grads])
+        return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
     def clone_with_theta(self, theta: np.ndarray) -> "MlpModel":
         return MlpModel(self.input_dim, self.hidden, self.dropout, np.array(theta, dtype=float))
 
 
 Model = LinearModel | RbfLinearModel | MlpModel
+
+
+def _as_theta(theta, count: int, what: str) -> np.ndarray:
+    """theta as a float64 (count,) vector or a (C, count) block."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim not in (1, 2) or theta.shape[-1] != count:
+        raise ValueError(f"theta length {theta.shape} does not match {what}")
+    return theta
 
 
 def _check_inputs(X: np.ndarray, input_dim: int) -> np.ndarray:
@@ -353,10 +372,41 @@ def model_from_payload(payload: dict) -> Model:
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}")
-    kind = payload["kind"]
-    mlp = {"hidden": tuple(payload["hidden"]), "dropout": payload["dropout"]} if kind == "mlp" else {}
-    arch = ArchSpec(kind, sigma=payload.get("sigma"), **mlp)
-    return _build(arch, payload["input_dim"], payload.get("bases"), payload["theta"])
+    kind = payload.get("kind")
+    input_dim = _field(payload, "input_dim", _is_int, "an integer")
+    theta = _field(payload, "theta", _is_numbers, "a list of numbers")
+    sigma = bases = None
+    mlp = {}
+    if kind == "rbf":
+        sigma = _field(payload, "sigma", _is_number, "a number")
+        bases = _field(payload, "bases", lambda v: isinstance(v, list) and all(map(_is_numbers, v)),
+                       "a list of lists of numbers")
+    if kind == "mlp":
+        hidden = _field(payload, "hidden", lambda v: isinstance(v, list) and all(map(_is_int, v)),
+                        "a list of integers")
+        mlp = {"hidden": tuple(hidden), "dropout": _field(payload, "dropout", _is_number, "a number")}
+    arch = ArchSpec(kind, sigma=sigma, **mlp)
+    return _build(arch, input_dim, bases, theta)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_numbers(value) -> bool:
+    return isinstance(value, list) and all(map(_is_number, value))
+
+
+def _field(payload: dict, key: str, check, what: str):
+    """payload[key] if check accepts it; JSON gives no type guarantees."""
+    value = payload.get(key)
+    if not check(value):
+        raise ValueError(f"model file field {key!r} must be {what}, got {value!r:.60}")
+    return value
 
 
 def save_model(model: Model, path: str, extra: dict | None = None) -> None:

@@ -1,10 +1,17 @@
-"""Adam optimizer and the mini-batch training loop.
+"""Adam optimizer and the one mini-batch training engine.
 
 Adam runs at its published constants BETA1, BETA2 and EPS (Kingma & Ba
 2015, arXiv:1412.6980), which are fixed; only the step size TrainConfig.lr
 is set per run.
 
-All randomness (shuffles, dropout) is derived from the config seed through
+train_cells is the only training loop. It trains C cells of one model
+structure, which may differ in rho, lam, seed and initial theta, as one
+(C, P) parameter block: each step gathers every cell's batch, runs one
+block forward and backward pass and one elementwise Adam step. train is
+its one-cell case. A cell sees exactly the floats it would see alone, so
+grid_search (one block per sigma group) and train agree bit for bit.
+
+All randomness (shuffles, dropout) is derived from each cell's seed through
 labeled streams, so a run is reproducible from (data, init theta, config)
 alone. Only a model that draws dropout masks (an mlp with dropout > 0)
 gets a per-step dropout stream; other models train with rng=None. Early
@@ -16,12 +23,13 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gradients import REGULARIZERS, GradResult, naive_batch_gradient, u2_batch_gradient
+from .gradients import REGULARIZERS, GradResult, block_gradient
 from .losses import LossKind, LossSpec, loss_value
+from .models import model_payload
 from .rngutil import derive_rng
 
 METHODS = ("u2", "lu", "mse", "mae", "huber")
@@ -42,12 +50,15 @@ class AdamState:
     t: int
 
 
-def adam_init(n_params: int) -> AdamState:
-    return AdamState(np.zeros(n_params), np.zeros(n_params), 0)
+def adam_init(shape: int | tuple[int, ...]) -> AdamState:
+    return AdamState(np.zeros(shape), np.zeros(shape), 0)
 
 
 def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> tuple[AdamState, np.ndarray]:
-    """One bias-corrected Adam update; returns (new state, theta delta)."""
+    """One bias-corrected Adam update; returns (new state, theta delta).
+
+    Elementwise, so a (C, P) block steps C cells that share the step count.
+    """
     t = state.t + 1
     m = BETA1 * state.m + (1.0 - BETA1) * grad
     v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
@@ -136,15 +147,8 @@ class TrainResult:
     stopped_early: bool
 
 
-def _batch_grad(model, xs, ys, cfg: TrainConfig, rng) -> GradResult:
-    if cfg.naive_kind is not None:
-        return naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng)
-    return u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng,
-                             mirror=cfg.method == "lu")
-
-
 def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> TrainResult:
-    """Mini-batch Adam with patience-based early stopping.
+    """Mini-batch Adam with patience-based early stopping: train_cells for one cell.
 
     Each epoch ends with validation_loss(model, val_ds, cfg); the run stops
     after cfg.patience epochs without a strict improvement on the best value
@@ -152,11 +156,46 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     mutated; the result carries a copy holding the best-validation
     parameters. step_callback, when given, is invoked as
     step_callback(global_step, model, grad_result) after each update.
+    A non-finite gradient or parameter vector raises FloatingPointError.
 
     Step s of a model with dropout > 0 (an mlp) draws its masks from
     derive_rng(cfg.seed, "dropout", s). Every other model has no masks to
     draw, so its steps derive no dropout stream and pass rng=None.
     """
+    callback = None if step_callback is None else (
+        lambda _cell, step, cell_model, res: step_callback(step, cell_model, res))
+    (outcome,) = train_cells([model], train_ds, val_ds, [cfg], callback)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
+    """Train C cells as one (C, P) parameter block; one outcome per cell.
+
+    models share one structure (kind, shapes, rbf bases and width) and cfgs
+    every TrainConfig field except rho, lam and seed; otherwise ValueError.
+    Cell c trains exactly as train(models[c], train_ds, val_ds, cfgs[c])
+    would: its own shuffle per epoch, its own dropout stream, its own early
+    stopping. The block computes the model features of the training and
+    validation rows once (for rbf the kernel features phi) and gathers each
+    step's (C, B) batch from them.
+
+    A cell leaves the block when its patience runs out, or fails alone when
+    its gradient or, after an update, its parameters are not all finite;
+    its outcome is then that FloatingPointError instead of a TrainResult.
+    step_callback(cell, global_step, model, grad_result) runs after each
+    update of each cell still in the block.
+    """
+    if len(models) != len(cfgs) or not models:
+        raise ValueError("train_cells needs one TrainConfig per model, and at least one cell")
+    cfg = cfgs[0]
+    if any(replace(c, rho=cfg.rho, lam=cfg.lam, seed=cfg.seed) != cfg for c in cfgs[1:]):
+        raise ValueError("cells in one block must share every TrainConfig field but rho, lam and seed")
+    if len(models) > 1:
+        structure = _structure(models[0])
+        if any(_structure(m) != structure for m in models[1:]):
+            raise ValueError("cells in one block must share one model structure")
     if len(train_ds) < 1:
         raise ValueError("training split must be nonempty")
     if len(val_ds) < 1:
@@ -165,57 +204,120 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
         raise ValueError(
             f"batch_size {cfg.batch_size} exceeds the training set size {len(train_ds)}"
         )
-    model = model.clone_with_theta(model.theta)
-    n = len(train_ds)
-    state = adam_init(model.theta.size)
-    best_theta = model.theta.copy()
-    best_val = validation_loss(model, val_ds, cfg)
-    best_epoch = -1
-    since_best = 0
-    history: list[EpochRecord] = []
-    stopped_early = False
+    n, batch = len(train_ds), cfg.batch_size
+    block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
+    # Batches gather their rows' features from one pass over the training
+    # rows. For rbf that pass must round as a gathered batch does: on a copy,
+    # since numpy multiplies an array by its own transpose with syrk, not
+    # gemm; and a one-row batch, which BLAS runs as gemv, is recomputed alone.
+    feats, val_feats = block.features(train_ds.xs.copy()), block.features(val_ds.xs)
+    loss = cfg.naive_kind if cfg.naive_kind is not None else cfg.spec
+    mirror = cfg.method == "lu"
+    draws_masks = getattr(block, "dropout", 0.0) > 0.0
+    outcomes: list = [None] * len(models)
+    histories: list[list[EpochRecord]] = [[] for _ in models]
+    state = adam_init(block.theta.shape)
+    # per-cell state, compacted together whenever cells leave the block
+    cells = {
+        "index": np.arange(len(models)),
+        "seed": np.array([c.seed for c in cfgs], dtype=object),
+        "rho": np.array([[c.rho] for c in cfgs]),
+        "lam": np.array([[c.lam] for c in cfgs]),
+        "best_val": _val_losses(block, val_feats, val_ds.ys_prime, cfg),
+        "best_theta": block.theta.copy(),
+        "best_epoch": np.full(len(models), -1),
+        "since": np.zeros(len(models), dtype=int),
+    }
+
+    def leave(leaving, outcome):
+        """Record outcome(i) for each leaving row i and drop those rows."""
+        nonlocal state, order, norms
+        for i in np.flatnonzero(leaving):
+            outcomes[cells["index"][i]] = outcome(i)
+        keep = ~leaving
+        for key in cells:
+            cells[key] = cells[key][keep]
+        block.theta = block.theta[keep]
+        state = AdamState(state.m[keep], state.v[keep], state.t)
+        order, norms = order[keep], norms[keep]
+
+    def result(i, stopped_early):
+        cell = cells["index"][i]
+        return TrainResult(
+            model=models[cell].clone_with_theta(cells["best_theta"][i]),
+            history=histories[cell],
+            best_epoch=int(cells["best_epoch"][i]),
+            best_val_loss=float(cells["best_val"][i]),
+            stopped_early=stopped_early,
+        )
+
     t0 = time.perf_counter()
     global_step = 0
-    draws_masks = getattr(model, "dropout", 0.0) > 0.0
-
+    starts = range(0, n, batch)
     for epoch in range(cfg.max_epochs):
-        order = derive_rng(cfg.seed, "shuffle", epoch).permutation(n)
-        norms = []
-        for start in range(0, n, cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            rng = derive_rng(cfg.seed, "dropout", global_step) if draws_masks else None
-            res = _batch_grad(model, train_ds.xs[idx], train_ds.ys_prime[idx], cfg, rng)
-            if not np.all(np.isfinite(res.grad)):
-                raise FloatingPointError(
-                    f"non-finite gradient at epoch {epoch}, step {global_step}"
-                )
+        order = np.stack([derive_rng(seed, "shuffle", epoch).permutation(n)
+                          for seed in cells["seed"]])
+        norms = np.empty((len(order), len(starts)))
+        for s, start in enumerate(starts):
+            idx = order[:, start : start + batch]
+            rng = [derive_rng(seed, "dropout", global_step)
+                   for seed in cells["seed"]] if draws_masks else None
+            rows = (feats[idx] if idx.shape[1] > 1
+                    else np.stack([block.features(train_ds.xs[i]) for i in idx]))
+            res = block_gradient(block, rows, train_ds.ys_prime[idx], loss, cells["rho"],
+                                 cells["lam"], cfg.reg, rng, mirror)
+            if not np.isfinite(res.grad).all():
+                bad = ~np.isfinite(res.grad).all(axis=1)
+                error = f"non-finite gradient at epoch {epoch}, step {global_step}"
+                leave(bad, lambda i: FloatingPointError(error))
+                res = GradResult(res.grad[~bad], res.trusted[~bad])
             state, delta = adam_step(state, res.grad, cfg.lr)
-            model.theta = model.theta + delta
-            norms.append(math.sqrt(float(res.grad @ res.grad)))
+            block.theta = block.theta + delta
+            g = res.grad
+            norms[:, s] = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
+            if not np.isfinite(block.theta).all():
+                bad = ~np.isfinite(block.theta).all(axis=1)
+                error = f"non-finite parameters at epoch {epoch}, step {global_step}"
+                leave(bad, lambda i: FloatingPointError(error))
+                res = GradResult(res.grad[~bad], res.trusted[~bad])
             if step_callback is not None:
-                step_callback(global_step, model, res)
+                for i, cell in enumerate(cells["index"]):
+                    step_callback(cell, global_step, models[cell].clone_with_theta(block.theta[i]),
+                                  GradResult(res.grad[i], res.trusted[i]))
             global_step += 1
-        val_loss = validation_loss(model, val_ds, cfg)
-        history.append(EpochRecord(epoch, val_loss, float(np.mean(norms)),
-                                   time.perf_counter() - t0))
-        if val_loss < best_val:
-            best_val = val_loss
-            best_theta = model.theta.copy()
-            best_epoch = epoch
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= cfg.patience:
-                stopped_early = True
-                break
+            if not len(cells["index"]):
+                return outcomes
+        val = _val_losses(block, val_feats, val_ds.ys_prime, cfg)
+        mean_norms = np.mean(norms, axis=1)
+        seconds = time.perf_counter() - t0
+        for i, cell in enumerate(cells["index"]):
+            histories[cell].append(EpochRecord(epoch, float(val[i]), float(mean_norms[i]), seconds))
+        better = val < cells["best_val"]
+        cells["best_val"] = np.where(better, val, cells["best_val"])
+        cells["best_theta"][better] = block.theta[better]
+        cells["best_epoch"][better] = epoch
+        cells["since"] = np.where(better, 0, cells["since"] + 1)
+        stop = ~better & (cells["since"] >= cfg.patience)
+        if stop.any():
+            leave(stop, lambda i: result(i, True))
+            if not len(cells["index"]):
+                return outcomes
+    for i in range(len(cells["index"])):
+        outcomes[cells["index"][i]] = result(i, False)
+    return outcomes
 
-    return TrainResult(
-        model=model.clone_with_theta(best_theta),
-        history=history,
-        best_epoch=best_epoch,
-        best_val_loss=best_val,
-        stopped_early=stopped_early,
-    )
+
+def _structure(model) -> dict:
+    """What a block's cells must share: the model file minus theta."""
+    payload = model_payload(model)
+    del payload["theta"]
+    return payload
+
+
+def _val_losses(model, feats, ys, cfg: TrainConfig) -> np.ndarray:
+    preds = model.forward(feats)[0]
+    kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
+    return np.mean(loss_value(kind, preds, ys), axis=-1)
 
 
 def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
@@ -229,6 +331,4 @@ def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
     tiny validation splits its few trusted rows make it too noisy to rank
     cells.
     """
-    preds = model.predict_batch(val_ds.xs)
-    kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
-    return float(np.mean(loss_value(kind, preds, val_ds.ys_prime)))
+    return float(_val_losses(model, model.features(val_ds.xs), val_ds.ys_prime, cfg))

@@ -291,6 +291,43 @@ def test_non_finite_numbers_exit_one_and_leave_no_file(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_train_with_non_finite_parameters_exits_two_and_writes_no_model(tmp_path, capsys):
+    # lr 1e308 overflows theta on the first step; before the parameter check
+    # this run exited 0 and saved the init theta
+    data = str(tmp_path / "gen.csv")
+    out = str(tmp_path / "model.json")
+    assert run("generate", "--n", "100", "--seed", "1", "--out", data) == 0
+    with np.errstate(all="ignore"):
+        assert run("train", "--data", data, "--lr", "1e308", "--max-epochs", "2", "--out", out) == 2
+    assert "non-finite parameters at epoch 0, step 0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_corrupt_rejects_a_noise_std_without_a_finite_precision(pipeline, capsys):
+    tmp_path, data, _cor = pipeline
+    out = str(tmp_path / "noisy.csv")
+    # 1e-200 ** -2 overflows; 1e200 ** -2 underflows to a zero precision
+    for std in ("1e-200", "1e200"):
+        assert run("corrupt", "--data", data, "--k", "50", "--noise-std", std, "--out", out) == 1, std
+        assert not os.path.exists(out), std
+    assert "precision" in capsys.readouterr().err
+
+
+def test_predict_rejects_a_model_file_with_wrong_json_types(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    model_path = str(tmp_path / "mlp.json")
+    assert run("train", "--data", cor, "--model", "mlp", "--hidden", "4", "--max-epochs", "1",
+               "--out", model_path) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    with open(model_path, "w", encoding="utf-8") as fh:
+        json.dump({**payload, "hidden": 5}, fh)
+    out = str(tmp_path / "preds.csv")
+    assert run("predict", "--data", cor, "--model-file", model_path, "--out", out) == 1
+    assert "'hidden' must be a list of integers" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_predict_to_stdout(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     model_path = str(tmp_path / "m4.json")

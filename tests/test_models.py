@@ -319,6 +319,37 @@ def test_load_model_applies_the_archspec_checks(tmp_path):
             load_model(path)
 
 
+def test_model_file_fields_must_have_their_json_types(tmp_path):
+    rng = np.random.default_rng(5)
+    saved = {
+        "linear": LinearModel(2, np.array([0.5, -0.5, 0.1])),
+        "rbf": RbfLinearModel(rng.standard_normal((3, 2)), 1.2, rng.standard_normal(3)),
+        "mlp": MlpModel(2, (3,), 0.25),
+    }
+    bad_values = {
+        "input_dim": ("2", 2.0, True, None),
+        "theta": (5, "0.5", [[0.5, -0.5, 0.1]], [True, False, True]),
+        "sigma": ("1.2", [1.2], None),
+        "bases": (5, [1.0, 2.0], [["a", 1.0]]),
+        "hidden": (5, ["3"], [3.0]),
+        "dropout": ("0.25", None, False),
+    }
+    path = os.path.join(tmp_path, "model.json")
+    for kind, model in saved.items():
+        save_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        for key in payload.keys() & bad_values.keys():
+            for bad in bad_values[key]:
+                with open(path, "w", encoding="utf-8") as fh:
+                    json.dump({**payload, key: bad}, fh)
+                with pytest.raises(ValueError, match=f"'{key}' must be"):
+                    load_model(path)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        assert np.array_equal(load_model(path)[0].theta, model.theta)
+
+
 def test_save_is_deterministic_and_atomic(tmp_path):
     model = RbfLinearModel(np.array([[0.5, -0.5]]), 1.1, np.array([0.25]))
     p1 = os.path.join(tmp_path, "a.json")

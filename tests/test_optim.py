@@ -16,11 +16,13 @@ from u2reg import (
     adam_init,
     adam_step,
     generate_uncorrupted,
+    naive_batch_gradient,
     train,
+    train_cells,
     u2_batch_gradient,
 )
 from u2reg.data import Dataset
-from u2reg.optim import validation_loss
+from u2reg.optim import METHODS, validation_loss
 from u2reg.rngutil import derive_rng, derive_seed
 
 from conftest import make_dataset
@@ -282,6 +284,18 @@ def test_non_finite_gradient_raises():
         train(LinearModel(2), ds, ds, mse_cfg(max_epochs=2, batch_size=16))
 
 
+def test_non_finite_parameters_raise():
+    # lr 1e308 overflows theta on the first Adam step, and the run stops
+    # there; without the parameter check it would go on until a gradient
+    # overflowed, or, since rows with NaN predictions are never trusted and
+    # keep the u2 gradient finite, end with the init theta as its "best"
+    ds = make_dataset(40, 3, seed=16)
+    cfg = TrainConfig("u2", lr=1e308, batch_size=8, max_epochs=2, seed=1)
+    with np.errstate(all="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite parameters at epoch 0, step 0"):
+            train(LinearModel(3), ds, ds, cfg)
+
+
 def test_history_records_are_ordered_and_finite():
     ds = make_dataset(30, 2, seed=10)
     res = train(LinearModel(2), ds, ds, mse_cfg(max_epochs=6, batch_size=10, seed=3))
@@ -320,34 +334,96 @@ def test_only_a_model_with_dropout_derives_a_dropout_stream(monkeypatch):
     assert [lab for lab in labels if lab[1] == "dropout"] == [(5, "dropout", s) for s in range(9)]
 
 
-def test_mlp_dropout_training_replays_by_hand():
-    # the reference loop keeps the per-step stream and np.linalg.norm, so
-    # train must match it bit for bit in theta, val_loss and grad_norm
-    ds = make_dataset(30, 3, seed=14)
-    val = make_dataset(12, 3, seed=15)
-    init = _mlp(3, 0.5)
-    cfg = TrainConfig("u2", rho=0.5, lam=1e-3, batch_size=8, max_epochs=4, patience=4, seed=21)
-    thetas = []
-    res = train(init, ds, val, cfg, step_callback=lambda s, m, g: thetas.append(m.theta.copy()))
-
+def _replay_by_hand(init, ds, val, cfg):
+    """The training loop written out from the public per-batch pieces."""
     model = init.clone_with_theta(init.theta)
     state = adam_init(model.theta.size)
+    best_theta, best_val, best_epoch, since = model.theta, validation_loss(model, val, cfg), -1, 0
+    thetas, history = [], []
     step = 0
     for epoch in range(cfg.max_epochs):
         order = derive_rng(cfg.seed, "shuffle", epoch).permutation(len(ds))
         norms = []
         for start in range(0, len(ds), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            grad = u2_batch_gradient(model, ds.xs[idx], ds.ys_prime[idx], cfg.spec, cfg.rho,
-                                     cfg.lam, cfg.reg, derive_rng(cfg.seed, "dropout", step)).grad
+            xs, ys, rng = ds.xs[idx], ds.ys_prime[idx], derive_rng(cfg.seed, "dropout", step)
+            if cfg.naive_kind is None:
+                grad = u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng,
+                                         mirror=cfg.method == "lu").grad
+            else:
+                grad = naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng).grad
             state, delta = adam_step(state, grad, cfg.lr)
             model.theta = model.theta + delta
             norms.append(float(np.linalg.norm(grad)))
-            assert np.array_equal(thetas[step], model.theta)
+            thetas.append(model.theta.copy())
             step += 1
-        record = res.history[epoch]
-        assert record.val_loss == validation_loss(model, val, cfg)
-        assert record.grad_norm == float(np.mean(norms))
-    assert step == len(thetas) == 16
-    best = init.theta if res.best_epoch < 0 else thetas[4 * res.best_epoch + 3]
-    assert np.array_equal(res.model.theta, best)
+        val_loss = validation_loss(model, val, cfg)
+        history.append((val_loss, float(np.mean(norms))))
+        if val_loss < best_val:
+            best_theta, best_val, best_epoch, since = model.theta.copy(), val_loss, epoch, 0
+        else:
+            since += 1
+            if since >= cfg.patience:
+                break
+    return thetas, history, best_theta, best_val, best_epoch
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+def test_mlp_dropout_training_replays_by_hand(kind, method):
+    # every cell of a three-cell block, each with its own rho, lam, seed and
+    # init, must match the hand loop (per-step dropout stream, np.linalg.norm)
+    # bit for bit in each step's theta, val_loss and grad_norm, and in what
+    # early stopping kept; patience 2 stops the cells at different epochs.
+    # 33 rows in batches of 8 end each epoch on a one-row batch.
+    ds = make_dataset(33, 3, seed=14)
+    val = make_dataset(12, 3, seed=15)
+    base = {"linear": LinearModel(3), "rbf": RbfLinearModel(ds.xs, 1.5), "mlp": _mlp(3, 0.5)}[kind]
+    rng = np.random.default_rng(3)
+    inits = [base.clone_with_theta(base.theta + 0.3 * rng.standard_normal(base.n_params))
+             for _ in range(3)]
+    corrected = method in ("u2", "lu")
+    cfgs = [TrainConfig(method, rho=rho if corrected else 1.0, lam=lam, lr=0.02, batch_size=8,
+                        max_epochs=25, patience=2, seed=seed)
+            for rho, lam, seed in ((0.5, 1e-3, 21), (1.0, 0.0, 22), (0.25, 0.1, 23))]
+    thetas = [[], [], []]
+    outcomes = train_cells(inits, ds, val, cfgs,
+                           step_callback=lambda c, s, m, g: thetas[c].append(m.theta.copy()))
+    for cell, (init, cfg, res) in enumerate(zip(inits, cfgs, outcomes)):
+        hand_thetas, history, best_theta, best_val, best_epoch = _replay_by_hand(init, ds, val, cfg)
+        assert len(thetas[cell]) == len(hand_thetas) == 5 * len(res.history)
+        assert all(np.array_equal(a, b) for a, b in zip(thetas[cell], hand_thetas))
+        assert [(r.val_loss, r.grad_norm) for r in res.history] == history
+        assert np.array_equal(res.model.theta, best_theta)
+        assert (res.best_val_loss, res.best_epoch) == (best_val, best_epoch)
+        assert res.stopped_early == (len(res.history) < cfg.max_epochs)
+    assert len({len(res.history) for res in outcomes}) > 1
+
+
+def test_a_failing_cell_leaves_the_rest_of_the_block_alone():
+    ds = make_dataset(30, 3, seed=17)
+    val = make_dataset(12, 3, seed=18)
+    cfgs = [TrainConfig("u2", rho=rho, lam=1e-2, batch_size=8, max_epochs=6, patience=6, seed=s)
+            for s, rho in enumerate((0.5, 1e308, 1.0))]
+    with np.errstate(all="ignore"):
+        outcomes = train_cells([LinearModel(3)] * 3, ds, val, cfgs)
+    assert isinstance(outcomes[1], FloatingPointError)
+    assert str(outcomes[1]) == "non-finite gradient at epoch 0, step 0"
+    for cell in (0, 2):
+        alone = train(LinearModel(3), ds, val, cfgs[cell])
+        assert np.array_equal(outcomes[cell].model.theta, alone.model.theta)
+        assert ([(r.epoch, r.val_loss, r.grad_norm) for r in outcomes[cell].history]
+                == [(r.epoch, r.val_loss, r.grad_norm) for r in alone.history])
+
+
+def test_train_cells_rejects_mixed_blocks():
+    ds = make_dataset(20, 2, seed=19)
+    u2 = TrainConfig("u2", max_epochs=1)
+    with pytest.raises(ValueError, match="one TrainConfig per model"):
+        train_cells([LinearModel(2)] * 2, ds, ds, [u2])
+    with pytest.raises(ValueError, match="TrainConfig field"):
+        train_cells([LinearModel(2)] * 2, ds, ds, [u2, TrainConfig("u2", max_epochs=2)])
+    with pytest.raises(ValueError, match="model structure"):
+        train_cells([LinearModel(2), RbfLinearModel(ds.xs, 1.0)], ds, ds, [u2, u2])
+    with pytest.raises(ValueError, match="model structure"):
+        train_cells([RbfLinearModel(ds.xs, 1.0), RbfLinearModel(ds.xs, 2.0)], ds, ds, [u2, u2])
