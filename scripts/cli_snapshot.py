@@ -5,7 +5,7 @@
 Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
-kind, every method, --config, stdout output and two rejected invocations
+kind, every method, --config, stdout output and four rejected invocations
 (names starting with "reject-", which exit 1). The benchmark runs also reach
 the training engine's early stopping (all five methods, patience 2), rbf
 grids over two sigmas, an mlp grid with dropout, and a grid with one failing
@@ -76,8 +76,16 @@ RUNS = [
     ("reject-corrupt-strict", ["corrupt", "--data", "clean.csv", "--k", "40", "--corruption-mode",
                                "strict", "--out", "reject.csv"]),
     ("reject-ignored-flag", [*TRAIN, "--method", "mse", "--rho", "0.3", "--out", "reject.json"]),
+    ("reject-model-not-object", ["predict", "--data", "cor.csv", "--model-file", "not-object.json",
+                                 "--out", "reject-preds.csv"]),
+    ("reject-config-fractional-int", ["generate", "--config", "fractional.json",
+                                      "--out", "reject-gen.csv"]),
 ]
-CONFIG = {"method": "u2", "lam": 0.01, "rho": 0.5, "max_epochs": 5, "batch_size": 16}
+INPUTS = {
+    "config.json": {"method": "u2", "lam": 0.01, "rho": 0.5, "max_epochs": 5, "batch_size": 16},
+    "not-object.json": [1, 2],
+    "fractional.json": {"n": 50.9, "seed": 1.7},
+}
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -88,8 +96,9 @@ def main(out: str) -> None:
     warnings.showwarning = _show_warning
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
-    with open("config.json", "w", encoding="utf-8") as fh:
-        json.dump(CONFIG, fh)
+    for name, content in INPUTS.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
     for name, argv in RUNS:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -48,6 +48,7 @@ from .models import (
     init_model,
     load_model,
     param_jacobian,
+    predict,
     rbf_features,
     save_model,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "grid_search", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "naive_batch_gradient",
-    "param_jacobian", "partition_upper", "population_gradient_oracle",
+    "param_jacobian", "partition_upper", "population_gradient_oracle", "predict",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
     "train", "train_cells", "u2_batch_gradient", "u2_dataset_gradient_estimate",
     "upper_grad_coeff", "window_features",

@@ -42,6 +42,7 @@ from .models import (
     atomic_write_text,
     init_model,
     load_model,
+    predict,
     save_model,
 )
 from .optim import DEFAULT_SPECS, METHODS, TrainConfig, train
@@ -251,10 +252,12 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
     command = explicit.pop("command", None)
     if command is None:
         raise CliError("a subcommand is required (see --help)")
-    defaults = {}
+    defaults, int_keys = {}, set()
     for flags, kwargs in ARG_TABLE[command]["args"]:
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
         defaults[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        if kwargs.get("type") is int:
+            int_keys.add(dest)
     opts = dict(defaults)
     config = {}
     config_path = explicit.get("config", None)
@@ -271,6 +274,10 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
         unknown = sorted(set(config) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys for '{command}': {', '.join(unknown)}")
+        for key in sorted(int_keys & set(config)):
+            value = config[key]
+            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+                raise CliError(f"config key {key!r} must be an integer, got {value!r}")
         opts.update(config)
     opts.update(explicit)
     _reject_ignored(command, opts, set(config) | set(explicit))
@@ -515,7 +522,7 @@ def _run_predict(opts: dict) -> int:
     if payload.get("standardized_features"):
         xs = FeatureStats(np.asarray(payload["feature_mean"], dtype=float),
                           np.asarray(payload["feature_std"], dtype=float)).apply(xs)
-    preds = model.predict_batch(xs)
+    preds = predict(model, xs)
     _write_or_stdout(table_text(["index", "y_pred"], enumerate(preds)), opts.get("out"))
     if opts.get("out"):
         _info(f"wrote {len(preds)} predictions to {opts['out']}")

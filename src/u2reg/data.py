@@ -163,7 +163,9 @@ class Dataset:
         xs = data[:, :n_x]
         ys_prime = data[:, n_x]
         ys_true = data[:, n_x + 1] if "y_true" in rest else None
-        corrupted = data[:, cols.index("corrupted")].astype(bool) if "corrupted" in rest else None
+        corrupted = data[:, cols.index("corrupted")] if "corrupted" in rest else None
+        if corrupted is not None and not np.isin(corrupted, (0.0, 1.0)).all():
+            raise ValueError("column 'corrupted' must hold only 0 and 1")
         return Dataset(xs, ys_prime, ys_true, corrupted)
 
 

@@ -22,7 +22,7 @@ from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, spl
                    standardize, table_text)
 from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
 from .losses import LossSpec, dloss_df
-from .models import ArchSpec, init_model
+from .models import ArchSpec, init_model, predict
 from .optim import METHODS, TrainConfig, TrainResult, train_cells
 from .rngutil import derive_rng, derive_seed
 
@@ -136,7 +136,8 @@ def grid_search(
             models = [init_model(cell_arch, train_ds.dim, derive_seed(seed, "grid-init", first + i),
                                  rbf_bases=train_ds.xs)
                       for i in range(len(hypers))]
-            results = train_cells(models, train_ds, val_ds, cfgs)
+            block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
+            results = train_cells(block, train_ds, val_ds, cfgs)
         except Exception as exc:  # the block failed as a whole; keep searching
             results = [exc] * len(hypers)
         for i, (hyper, result) in enumerate(zip(hypers, results)):
@@ -366,7 +367,7 @@ def run_benchmark(
                         patience=patience, seed=run_seed,
                     )
                     search = grid_search(tr_s, va_s, arch, grid, template, seed=run_seed)
-                    preds = search.best_result.model.predict_batch(te_s.xs)
+                    preds = predict(search.best_result.model, te_s.xs)
                     target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
                     fold_mae = mae(target, preds)
                     fold_signed = mean_signed_error(target, preds)
@@ -428,7 +429,7 @@ def estimate_eta_xi_delta(
     n_up, g_up, g_lo = 0, 0.0, 0.0
     for start in range(0, n_mc, chunk):
         X, y = process.draw_clean(min(chunk, n_mc - start), rng)
-        preds, cache = model.forward_train(X, None)
+        preds, cache = model.forward(model.features(X))
         up = partition_upper(preds, y)
         coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
         n_up += int(up.sum())

@@ -170,7 +170,7 @@ def u2_dataset_gradient_estimate(
         raise ValueError("pi_up must lie in (0, 1]")
     ys = np.asarray(ys, dtype=float)
     c_g = lower_grad_coeff(spec)
-    preds, cache = model.forward_train(xs, None)
+    preds, cache = model.forward(model.features(xs))
     up = partition_upper(preds, ys)
     n_up = int(up.sum())
     coeff = np.full(ys.size, c_g / ys.size)
@@ -204,7 +204,7 @@ def population_gradient_oracle(
     if with_se and not hasattr(model, "param_jacobian_batch"):
         raise ValueError(f"with_se needs per-row Jacobians, which a {model.kind} model lacks")
     X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
-    preds, cache = model.forward_train(X, None)
+    preds, cache = model.forward(model.features(X))
     up = partition_upper(preds, y)
     coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
     grad = model.backward_weighted(cache, coeff / n_rows)

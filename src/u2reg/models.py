@@ -1,6 +1,7 @@
 """Models with flat parameter vectors and exact parameter Jacobians.
 
-Three architectures share one small protocol:
+Three architectures share one small protocol, features -> forward ->
+backward_weighted:
 
   - ``features(X)``: the per-row array the forward pass reads: X itself
     (checked) for linear and mlp, the kernel features phi(X) for rbf.
@@ -12,8 +13,8 @@ Three architectures share one small protocol:
     in one reverse pass. With a one-hot weight this is the parameter Jacobian
     of a single prediction, and with loss-derivative weights it assembles a
     full batch gradient without materializing per-sample Jacobians.
-  - ``forward_train(X, rng)`` is ``forward(features(X), rng)`` and
-    ``predict_batch(X)`` its deterministic predictions.
+
+``predict(model, X)`` is the deterministic ``forward(features(X))`` value.
 
 Parameters live in a flat float64 vector ``theta`` of length P so the
 optimizer never needs to know the architecture. theta may also be a (C, P)
@@ -75,10 +76,6 @@ class LinearModel:
         self.theta = _as_theta(theta, input_dim + 1,
                                f"linear({input_dim}) which has {input_dim + 1} parameters")
 
-    @property
-    def n_params(self) -> int:
-        return self.input_dim + 1
-
     def features(self, X: np.ndarray) -> np.ndarray:
         return _check_inputs(X, self.input_dim)
 
@@ -89,12 +86,6 @@ class LinearModel:
         preds = np.matmul(F, t[..., :-1, None])
         preds += t[..., -1:, None]
         return preds[..., 0], F
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(self.features(X))[0]
-
-    def forward_train(self, X: np.ndarray, rng=None):
-        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -141,21 +132,11 @@ class RbfLinearModel:
             theta = np.zeros(bases.shape[0])
         self.theta = _as_theta(theta, bases.shape[0], f"{bases.shape[0]} bases")
 
-    @property
-    def n_params(self) -> int:
-        return self.bases.shape[0]
-
     def features(self, X: np.ndarray) -> np.ndarray:
         return rbf_features(_check_inputs(X, self.input_dim), self.bases, self.sigma)
 
     def forward(self, F: np.ndarray, rng=None):
         return np.matmul(F, self.theta[..., None])[..., 0], F
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(self.features(X))[0]
-
-    def forward_train(self, X: np.ndarray, rng=None):
-        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
         return np.matmul(np.asarray(w, dtype=float)[..., None, :], cache)[..., 0, :]
@@ -197,10 +178,6 @@ class MlpModel:
         if theta is None:
             theta = np.zeros(count)
         self.theta = _as_theta(theta, count, f"mlp{self.widths} which has {count} parameters")
-
-    @property
-    def n_params(self) -> int:
-        return self.theta.shape[-1]
 
     def _layers(self, theta: np.ndarray):
         """(W, b) per layer as views of theta: W (..., win, wout), b (..., 1, wout)."""
@@ -253,12 +230,6 @@ class MlpModel:
             else:
                 a = z[..., 0]
         return a, (F, acts, masks)
-
-    def predict_batch(self, X: np.ndarray) -> np.ndarray:
-        return self.forward(self.features(X))[0]
-
-    def forward_train(self, X: np.ndarray, rng=None):
-        return self.forward(self.features(X), rng)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
         _F, acts, masks = cache
@@ -328,7 +299,11 @@ def _build(arch: ArchSpec, input_dim: int, bases, theta) -> Model:
     if arch.kind == "rbf":
         if bases is None:
             raise ValueError("rbf model needs basis points (pass the training inputs)")
-        return RbfLinearModel(bases, arch.sigma, theta)
+        model = RbfLinearModel(bases, arch.sigma, theta)
+        if model.input_dim != input_dim:
+            raise ValueError(f"input_dim {input_dim} does not match the "
+                             f"{model.input_dim}-wide rbf bases")
+        return model
     return MlpModel(input_dim, arch.hidden, arch.dropout, theta)
 
 
@@ -341,8 +316,13 @@ def param_jacobian(model: Model, x: np.ndarray, rng=None) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
     if x.shape[0] != 1:
         raise ValueError("param_jacobian takes a single input row")
-    _f, cache = model.forward_train(x, rng)
+    _f, cache = model.forward(model.features(x), rng)
     return model.backward_weighted(cache, np.ones(1))
+
+
+def predict(model: Model, X: np.ndarray) -> np.ndarray:
+    """Predictions for the rows of X, without dropout; (C, n) for a block."""
+    return model.forward(model.features(X))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +349,8 @@ def model_payload(model: Model) -> dict:
 
 
 def model_from_payload(payload: dict) -> Model:
+    if not isinstance(payload, dict):
+        raise ValueError(f"a model file must hold a JSON object, got {payload!r:.60}")
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model file version {version!r}")

@@ -29,7 +29,6 @@ import numpy as np
 
 from .gradients import REGULARIZERS, GradResult, block_gradient
 from .losses import LossKind, LossSpec, loss_value
-from .models import model_payload
 from .rngutil import derive_rng
 
 METHODS = ("u2", "lu", "mse", "mae", "huber")
@@ -164,22 +163,24 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     """
     callback = None if step_callback is None else (
         lambda _cell, step, cell_model, res: step_callback(step, cell_model, res))
-    (outcome,) = train_cells([model], train_ds, val_ds, [cfg], callback)
+    (outcome,) = train_cells(model.clone_with_theta(model.theta[None]), train_ds, val_ds, [cfg],
+                             callback)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
+def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
     """Train C cells as one (C, P) parameter block; one outcome per cell.
 
-    models share one structure (kind, shapes, rbf bases and width) and cfgs
-    every TrainConfig field except rho, lam and seed; otherwise ValueError.
-    Cell c trains exactly as train(models[c], train_ds, val_ds, cfgs[c])
-    would: its own shuffle per epoch, its own dropout stream, its own early
-    stopping. The block computes the model features of the training and
-    validation rows once (for rbf the kernel features phi) and gathers each
-    step's (C, B) batch from them.
+    block is one model whose theta holds the cells' initial parameters, one
+    row per cell, and cfgs holds C TrainConfigs that share every field
+    except rho, lam and seed; otherwise ValueError. The caller's block is
+    never mutated. Cell c trains exactly as train would on a model holding
+    block.theta[c] with cfgs[c]: its own shuffle per epoch, its own dropout
+    stream, its own early stopping. The block computes the model features
+    of the training and validation rows once (for rbf the kernel features
+    phi) and gathers each step's (C, B) batch from them.
 
     A cell leaves the block when its patience runs out, or fails alone when
     its gradient or, after an update, its parameters are not all finite;
@@ -187,15 +188,12 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
     step_callback(cell, global_step, model, grad_result) runs after each
     update of each cell still in the block.
     """
-    if len(models) != len(cfgs) or not models:
-        raise ValueError("train_cells needs one TrainConfig per model, and at least one cell")
+    if block.theta.ndim != 2 or len(cfgs) != len(block.theta) or not cfgs:
+        raise ValueError("train_cells needs a (C, P) theta block with C >= 1 and one "
+                         "TrainConfig per cell")
     cfg = cfgs[0]
     if any(replace(c, rho=cfg.rho, lam=cfg.lam, seed=cfg.seed) != cfg for c in cfgs[1:]):
         raise ValueError("cells in one block must share every TrainConfig field but rho, lam and seed")
-    if len(models) > 1:
-        structure = _structure(models[0])
-        if any(_structure(m) != structure for m in models[1:]):
-            raise ValueError("cells in one block must share one model structure")
     if len(train_ds) < 1:
         raise ValueError("training split must be nonempty")
     if len(val_ds) < 1:
@@ -205,7 +203,7 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
             f"batch_size {cfg.batch_size} exceeds the training set size {len(train_ds)}"
         )
     n, batch = len(train_ds), cfg.batch_size
-    block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
+    block = block.clone_with_theta(block.theta)
     # Batches gather their rows' features from one pass over the training
     # rows. For rbf that pass must round as a gathered batch does: on a copy,
     # since numpy multiplies an array by its own transpose with syrk, not
@@ -214,19 +212,19 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
     loss = cfg.naive_kind if cfg.naive_kind is not None else cfg.spec
     mirror = cfg.method == "lu"
     draws_masks = getattr(block, "dropout", 0.0) > 0.0
-    outcomes: list = [None] * len(models)
-    histories: list[list[EpochRecord]] = [[] for _ in models]
+    outcomes: list = [None] * len(cfgs)
+    histories: list[list[EpochRecord]] = [[] for _ in cfgs]
     state = adam_init(block.theta.shape)
     # per-cell state, compacted together whenever cells leave the block
     cells = {
-        "index": np.arange(len(models)),
+        "index": np.arange(len(cfgs)),
         "seed": np.array([c.seed for c in cfgs], dtype=object),
         "rho": np.array([[c.rho] for c in cfgs]),
         "lam": np.array([[c.lam] for c in cfgs]),
         "best_val": _val_losses(block, val_feats, val_ds.ys_prime, cfg),
         "best_theta": block.theta.copy(),
-        "best_epoch": np.full(len(models), -1),
-        "since": np.zeros(len(models), dtype=int),
+        "best_epoch": np.full(len(cfgs), -1),
+        "since": np.zeros(len(cfgs), dtype=int),
     }
 
     def leave(leaving, outcome):
@@ -244,7 +242,7 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
     def result(i, stopped_early):
         cell = cells["index"][i]
         return TrainResult(
-            model=models[cell].clone_with_theta(cells["best_theta"][i]),
+            model=block.clone_with_theta(cells["best_theta"][i]),
             history=histories[cell],
             best_epoch=int(cells["best_epoch"][i]),
             best_val_loss=float(cells["best_val"][i]),
@@ -282,7 +280,7 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
                 res = GradResult(res.grad[~bad], res.trusted[~bad])
             if step_callback is not None:
                 for i, cell in enumerate(cells["index"]):
-                    step_callback(cell, global_step, models[cell].clone_with_theta(block.theta[i]),
+                    step_callback(cell, global_step, block.clone_with_theta(block.theta[i]),
                                   GradResult(res.grad[i], res.trusted[i]))
             global_step += 1
             if not len(cells["index"]):
@@ -305,13 +303,6 @@ def train_cells(models, train_ds, val_ds, cfgs, step_callback=None) -> list:
     for i in range(len(cells["index"])):
         outcomes[cells["index"][i]] = result(i, False)
     return outcomes
-
-
-def _structure(model) -> dict:
-    """What a block's cells must share: the model file minus theta."""
-    payload = model_payload(model)
-    del payload["theta"]
-    return payload
 
 
 def _val_losses(model, feats, ys, cfg: TrainConfig) -> np.ndarray:

@@ -30,6 +30,7 @@ from u2reg import (
     init_model,
     naive_batch_gradient,
     population_gradient_oracle,
+    predict,
     run_benchmark,
     split_cv,
     standardize,
@@ -257,8 +258,8 @@ def _fd_jacobian_batch(model, X, h=1e-6):
         up[j] += h
         dn[j] -= h
         J[:, j] = (
-            model.clone_with_theta(up).predict_batch(X)
-            - model.clone_with_theta(dn).predict_batch(X)
+            predict(model.clone_with_theta(up), X)
+            - predict(model.clone_with_theta(dn), X)
         ) / (2.0 * h)
     return J
 

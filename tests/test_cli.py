@@ -326,6 +326,11 @@ def test_predict_rejects_a_model_file_with_wrong_json_types(pipeline, capsys):
     assert run("predict", "--data", cor, "--model-file", model_path, "--out", out) == 1
     assert "'hidden' must be a list of integers" in capsys.readouterr().err
     assert not os.path.exists(out)
+    with open(model_path, "w", encoding="utf-8") as fh:
+        json.dump([1, 2], fh)
+    assert run("predict", "--data", cor, "--model-file", model_path, "--out", out) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
+    assert not os.path.exists(out)
 
 
 def test_predict_to_stdout(pipeline, capsys):
@@ -390,6 +395,22 @@ def test_config_file_must_be_json_object(tmp_path, capsys):
         fh.write("[1, 2]")
     assert run("generate", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 1
     capsys.readouterr()
+
+
+def test_config_integer_keys_reject_fractions_and_booleans(tmp_path, capsys):
+    cfg = str(tmp_path / "cfg.json")
+    out = str(tmp_path / "x.csv")
+    for config, key in (({"n": 50.9, "seed": 1.7}, "n"), ({"seed": 1.7}, "seed"),
+                        ({"n": True}, "n")):
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        assert run("generate", "--config", cfg, "--out", out) == 1
+        assert f"config key '{key}' must be an integer" in capsys.readouterr().err
+        assert not os.path.exists(out)
+    with open(cfg, "w") as fh:
+        json.dump({"n": 50.0, "seed": 1}, fh)
+    assert run("generate", "--config", cfg, "--out", out) == 0
+    assert len(Dataset.from_csv(out)) == 50
 
 
 # ---------------------------------------------------------------------------

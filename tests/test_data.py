@@ -372,6 +372,18 @@ def test_from_csv_rejects_a_nan_label(tmp_path):
         Dataset.from_csv(path)
 
 
+def test_from_csv_reads_only_0_and_1_as_corruption_flags(tmp_path):
+    path = os.path.join(tmp_path, "mask.csv")
+    for flag in ("0.5", "7", "-1", "nan"):
+        with open(path, "w") as fh:
+            fh.write(f"x0,y_prime,corrupted\n1.0,2.0,0\n3.0,4.0,{flag}\n")
+        with pytest.raises(ValueError, match="column 'corrupted'"):
+            Dataset.from_csv(path)
+    with open(path, "w") as fh:
+        fh.write("x0,y_prime,corrupted\n1.0,2.0,0\n3.0,4.0,1.0\n")
+    assert Dataset.from_csv(path).corrupted.tolist() == [False, True]
+
+
 def test_dataset_subset_carries_all_columns():
     p = proc(2, seed=21, k_percent=50.0)
     ds = corrupt(generate_uncorrupted(p, 20, 1), p, 2)

@@ -21,6 +21,7 @@ from u2reg import (
     init_model,
     mae,
     mean_signed_error,
+    predict,
     run_benchmark,
     split_cv,
     standardize,
@@ -165,7 +166,7 @@ def test_grid_search_chosen_cell_close_to_best_on_clean_test():
     template = TrainConfig("u2", max_epochs=120, patience=120, seed=9)
     arch = ArchSpec("linear")
     search = grid_search(tr_s, va_s, arch, grid, template, seed=9)
-    chosen = mae(te_s.ys_true, search.best_result.model.predict_batch(te_s.xs))
+    chosen = mae(te_s.ys_true, predict(search.best_result.model, te_s.xs))
     cell_maes = []
     index = 0
     for rho in grid.rhos:
@@ -175,7 +176,7 @@ def test_grid_search_chosen_cell_close_to_best_on_clean_test():
             model = init_model(arch, tr_s.dim, derive_seed(9, "grid-init", index),
                                rbf_bases=tr_s.xs)
             res = train(model, tr_s, va_s, cfg)
-            cell_maes.append(mae(te_s.ys_true, res.model.predict_batch(te_s.xs)))
+            cell_maes.append(mae(te_s.ys_true, predict(res.model, te_s.xs)))
             index += 1
     assert chosen <= min(cell_maes) + 0.15
 
@@ -388,7 +389,7 @@ def test_benchmark_fold_score_replays_from_its_seed_labels():
         method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
     )
     search = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=run_seed)
-    preds = search.best_result.model.predict_batch(te_s.xs)
+    preds = predict(search.best_result.model, te_s.xs)
 
     summary = rep.summary(method, k)
     assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
@@ -427,7 +428,7 @@ def test_eta_xi_delta_matches_single_chunk_replay():
     # n_mc below the chunk size: one draw_clean call replays the stream
     rng = derive_rng(seed, "eta-xi-delta")
     X, y = p.draw_clean(n_mc, rng)
-    preds = model.predict_batch(X)
+    preds = predict(model, X)
     up = partition_upper(preds, y)
     coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y),
                      dloss_df(SQ_ABS.lower, preds, y))

@@ -17,6 +17,7 @@ from u2reg import (
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
+    predict,
     u2_batch_gradient,
     u2_dataset_gradient_estimate,
 )
@@ -90,7 +91,7 @@ def test_u2_rho_zero_all_upper_matches_naive_accounting():
     rng = np.random.default_rng(5)
     model = LinearModel(3, rng.standard_normal(4))
     xs = rng.standard_normal((12, 3))
-    preds = model.predict_batch(xs)
+    preds = predict(model, xs)
     ys = preds + np.abs(rng.standard_normal(12)) + 0.1
     res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=0.0, lam=0.0)
     naive = naive_batch_gradient(model, xs, ys, SQ_ABS.upper, lam=0.0)
@@ -133,7 +134,7 @@ def test_u2_matches_three_sum_oracle(seed, n, rho, lam):
     xs = rng.standard_normal((n, 2))
     ys = rng.standard_normal(n) * 2.0
     res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=rho, lam=lam, reg="l1")
-    preds = model.predict_batch(xs)
+    preds = predict(model, xs)
     J = model.param_jacobian_batch(xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)
@@ -206,7 +207,7 @@ def test_naive_mse_hand_example():
 def test_naive_mae_zero_at_exact_fit():
     model = LinearModel(1, np.array([2.0, 1.0]))
     xs = np.array([[0.0], [1.0], [-1.0]])
-    ys = model.predict_batch(xs)
+    ys = predict(model, xs)
     res = naive_batch_gradient(model, xs, ys, LossKind("absolute"), lam=0.0)
     assert np.array_equal(res.grad, np.zeros(2))
 
@@ -215,7 +216,7 @@ def test_naive_huber_equals_mse_inside_delta():
     rng = np.random.default_rng(9)
     model = LinearModel(2, rng.standard_normal(3))
     xs = rng.standard_normal((10, 2))
-    ys = model.predict_batch(xs) + rng.uniform(-0.5, 0.5, 10)
+    ys = predict(model, xs) + rng.uniform(-0.5, 0.5, 10)
     g_h = naive_batch_gradient(model, xs, ys, LossKind("huber", 1.0), lam=0.0)
     g_s = naive_batch_gradient(model, xs, ys, LossKind("squared"), lam=0.0)
     assert np.allclose(g_h.grad, g_s.grad, atol=1e-14)
@@ -244,7 +245,7 @@ def test_dataset_estimate_matches_written_formula():
     ys = rng.standard_normal(40) * 2.0
     pi_up = 0.37
     res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, pi_up)
-    preds = model.predict_batch(xs)
+    preds = predict(model, xs)
     J = model.param_jacobian_batch(xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)

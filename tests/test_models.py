@@ -14,6 +14,7 @@ from u2reg import (
     init_model,
     load_model,
     param_jacobian,
+    predict,
     rbf_features,
     save_model,
 )
@@ -50,7 +51,7 @@ def test_archspec_validation():
 
 def test_linear_predict_and_jacobian():
     model = LinearModel(2, np.array([1.0, 2.0, 0.0]))
-    assert model.predict_batch(np.array([[3.0, 4.0]])) == pytest.approx([11.0])
+    assert predict(model, np.array([[3.0, 4.0]])) == pytest.approx([11.0])
     assert np.array_equal(param_jacobian(model, np.array([3.0, 4.0])), [3.0, 4.0, 1.0])
 
 
@@ -59,7 +60,7 @@ def test_linear_shape_errors():
         LinearModel(2, np.zeros(4))
     model = LinearModel(2)
     with pytest.raises(ValueError):
-        model.predict_batch(np.zeros((5, 3)))
+        predict(model, np.zeros((5, 3)))
     with pytest.raises(ValueError):
         param_jacobian(model, np.zeros((2, 2)))
 
@@ -69,7 +70,7 @@ def test_linear_backward_is_weighted_jacobian_sum():
     model = LinearModel(4, rng.standard_normal(5))
     X = rng.standard_normal((7, 4))
     w = rng.standard_normal(7)
-    _preds, cache = model.forward_train(X)
+    _preds, cache = model.forward(model.features(X))
     got = model.backward_weighted(cache, w)
     want = w @ model.param_jacobian_batch(X)
     assert np.allclose(got, want, atol=1e-14)
@@ -98,7 +99,7 @@ def test_rbf_equidistant_points_get_equal_features():
 def test_rbf_model_predict_and_jacobian():
     bases = np.array([[0.0], [2.0]])
     model = RbfLinearModel(bases, sigma=1.0, theta=np.array([1.0, 0.0]))
-    got = model.predict_batch(np.array([[0.0]]))
+    got = predict(model, np.array([[0.0]]))
     assert got == pytest.approx([1.0])
     jac = param_jacobian(model, np.array([0.0]))
     assert jac[0] == 1.0
@@ -125,7 +126,7 @@ def test_mlp_init_shapes_and_determinism():
     a = init_model(arch, 5, seed=42)
     b = init_model(arch, 5, seed=42)
     c = init_model(arch, 5, seed=43)
-    assert a.n_params == 5 * 8 + 8 + 8 * 6 + 6 + 6 * 1 + 1
+    assert a.theta.size == 5 * 8 + 8 + 8 * 6 + 6 + 6 * 1 + 1
     assert np.array_equal(a.theta, b.theta)
     assert not np.array_equal(a.theta, c.theta)
 
@@ -142,7 +143,7 @@ def test_mlp_init_zero_biases_and_fan_bounded_weights():
 def test_mlp_predictions_finite():
     model = init_model(ArchSpec("mlp", hidden=(32, 32), dropout=0.5), 6, seed=0)
     X = np.random.default_rng(1).standard_normal((64, 6)) * 3.0
-    preds = model.predict_batch(X)
+    preds = predict(model, X)
     assert preds.shape == (64,)
     assert np.all(np.isfinite(preds))
 
@@ -156,7 +157,7 @@ def test_mlp_dropout_masks_density_and_scale():
     dropout = 0.3
     model = init_model(ArchSpec("mlp", hidden=(100,), dropout=dropout), 5, seed=9)
     X = np.random.default_rng(2).standard_normal((100, 5))
-    _preds, (_X, _acts, masks) = model.forward_train(X, derive_rng(11, "mask-test"))
+    _preds, (_X, _acts, masks) = model.forward(model.features(X), derive_rng(11, "mask-test"))
     mask = masks[0]
     keep = 1.0 - dropout
     assert mask.shape == (100, 100)
@@ -169,9 +170,9 @@ def test_mlp_dropout_masks_density_and_scale():
 def test_mlp_dropout_is_seed_deterministic():
     model = init_model(ArchSpec("mlp", hidden=(16, 16), dropout=0.5), 4, seed=5)
     X = np.random.default_rng(3).standard_normal((10, 4))
-    p1, _ = model.forward_train(X, derive_rng(77, "drop"))
-    p2, _ = model.forward_train(X, derive_rng(77, "drop"))
-    p3, _ = model.forward_train(X, derive_rng(78, "drop"))
+    p1, _ = model.forward(model.features(X), derive_rng(77, "drop"))
+    p2, _ = model.forward(model.features(X), derive_rng(77, "drop"))
+    p3, _ = model.forward(model.features(X), derive_rng(78, "drop"))
     assert np.array_equal(p1, p2)
     assert not np.array_equal(p1, p3)
 
@@ -179,9 +180,9 @@ def test_mlp_dropout_is_seed_deterministic():
 def test_mlp_eval_mode_has_no_dropout():
     model = init_model(ArchSpec("mlp", hidden=(8,), dropout=0.9), 3, seed=1)
     X = np.random.default_rng(4).standard_normal((6, 3))
-    preds, (_X, _acts, masks) = model.forward_train(X, rng=None)
+    preds, (_X, _acts, masks) = model.forward(model.features(X), rng=None)
     assert masks == [None]
-    assert np.array_equal(preds, model.predict_batch(X))
+    assert np.array_equal(preds, predict(model, X))
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +196,8 @@ def _fd_jacobian(model, x, h=1e-6):
         up, dn = base.copy(), base.copy()
         up[j] += h
         dn[j] -= h
-        fu = model.clone_with_theta(up).predict_batch(x)[0]
-        fd = model.clone_with_theta(dn).predict_batch(x)[0]
+        fu = predict(model.clone_with_theta(up), x)[0]
+        fd = predict(model.clone_with_theta(dn), x)[0]
         out[j] = (fu - fd) / (2 * h)
     return out
 
@@ -210,7 +211,7 @@ def test_param_jacobian_matches_finite_differences(kind):
         model = RbfLinearModel(rng.standard_normal((5, 3)), 1.3, rng.standard_normal(5))
     else:
         model = init_model(ArchSpec("mlp", hidden=(6, 5), dropout=0.0), 4, seed=8)
-        model.theta = model.theta + 0.05 * rng.standard_normal(model.n_params)
+        model.theta = model.theta + 0.05 * rng.standard_normal(model.theta.size)
     for _ in range(5):
         x = rng.standard_normal(model.input_dim)
         jac = param_jacobian(model, x)
@@ -228,12 +229,38 @@ def test_backward_weighted_is_linear_in_weights(kind):
     else:
         model = init_model(ArchSpec("mlp", hidden=(5,), dropout=0.0), 3, seed=2)
     X = rng.standard_normal((8, 3))
-    _p, cache = model.forward_train(X)
+    _p, cache = model.forward(model.features(X))
     w1 = rng.standard_normal(8)
     w2 = rng.standard_normal(8)
     lhs = model.backward_weighted(cache, w1 + 2.0 * w2)
     rhs = model.backward_weighted(cache, w1) + 2.0 * model.backward_weighted(cache, w2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+def test_a_block_computes_each_cell_bit_for_bit(kind):
+    rng = np.random.default_rng(23)
+    base = {"linear": LinearModel(3), "rbf": RbfLinearModel(rng.standard_normal((6, 3)), 1.1),
+            "mlp": MlpModel(3, (5, 4), 0.25)}[kind]
+    block = base.clone_with_theta(rng.standard_normal((3, base.theta.size)))
+    cells = [base.clone_with_theta(theta) for theta in block.theta]
+    X = rng.standard_normal((7, 3))
+    w = rng.standard_normal((3, 7))
+    shared = block.features(X)
+    per_cell = np.stack([block.features(x) for x in rng.standard_normal((3, 7, 3))])
+    for feats in (shared, per_cell):
+        # one rng per cell: each cell draws its dropout masks from its own stream
+        preds, cache = block.forward(feats, [derive_rng(c, "block") for c in range(3)])
+        grads = block.backward_weighted(cache, w)
+        for c, cell in enumerate(cells):
+            alone, cell_cache = cell.forward(feats if feats is shared else feats[c],
+                                             derive_rng(c, "block"))
+            assert np.array_equal(preds[c], alone)
+            assert np.array_equal(grads[c], cell.backward_weighted(cell_cache, w[c]))
+    block_preds = predict(block, X)
+    assert block_preds.shape == (3, 7)
+    for c, cell in enumerate(cells):
+        assert np.array_equal(block_preds[c], predict(cell, X))
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +273,7 @@ def test_init_model_zero_starts():
     bases = np.random.default_rng(0).standard_normal((9, 6))
     rbf = init_model(ArchSpec("rbf", sigma=2.0), 6, seed=0, rbf_bases=bases)
     assert np.all(rbf.theta == 0.0)
-    assert rbf.n_params == 9
+    assert rbf.theta.size == 9
 
 
 def test_init_model_errors():
@@ -279,7 +306,7 @@ def test_save_load_roundtrip_bit_exact(tmp_path):
         assert type(loaded) is type(model)
         assert np.array_equal(loaded.theta, model.theta)  # bit-exact floats
         X = rng.standard_normal((5, model.input_dim))
-        assert np.array_equal(loaded.predict_batch(X), model.predict_batch(X))
+        assert np.array_equal(predict(loaded, X), predict(model, X))
     mlp = models[2]
     loaded, _payload, _ = roundtrip(mlp, tmp_path, "m2b.json")
     assert loaded.hidden == mlp.hidden and loaded.dropout == mlp.dropout
@@ -348,6 +375,13 @@ def test_model_file_fields_must_have_their_json_types(tmp_path):
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh)
         assert np.array_equal(load_model(path)[0].theta, model.theta)
+    rbf_wrong_width = {**model_payload(saved["rbf"]), "input_dim": 7}
+    for bad, match in (([1, 2], "JSON object"), ("model", "JSON object"),
+                       (rbf_wrong_width, "input_dim 7 does not match the 2-wide rbf bases")):
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        with pytest.raises(ValueError, match=match):
+            load_model(path)
 
 
 def test_save_is_deterministic_and_atomic(tmp_path):
