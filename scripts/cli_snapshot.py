@@ -8,9 +8,11 @@ directory, so its artifacts land in OUT; next to them go <name>.stdout,
 kind, every method, --config, stdout output and four rejected invocations
 (names starting with "reject-", which exit 1). The benchmark runs also reach
 the training engine's early stopping (all five methods, patience 2), rbf
-grids over two sigmas, an mlp grid with dropout, and a grid with one failing
-rho = 1e308 cell. Warnings are written as "Category: message" lines without
-their source location, which differs between checkouts. Run it once per
+grids over two sigmas, an mlp grid with dropout, a grid with one failing
+rho = 1e308 cell, and (K, fold) items that train on 64 or 65 rows, so their
+pooled grid search forms blocks of two row counts. Warnings are written as
+"Category: message" lines without their source location, which differs
+between checkouts. Run it once per
 checkout into two directories and compare them with `diff -r`: a refactor
 that keeps the CLI's behaviour leaves no difference.
 """
@@ -68,6 +70,10 @@ RUNS = [
     ("benchmark-failing-cell", ["benchmark", "--data", "cor.csv", "--methods", "u2",
                                 "--rho-grid", "1,1e308", "--lam-grid", "0.01", "--folds", "2",
                                 "--max-epochs", "3", "--seed", "11", "--out", "bench-fail.json"]),
+    ("benchmark-pooled-unequal", ["benchmark", "--n", "121", "--d", "3", "--k", "25,50",
+                                  "--folds", "3", "--methods", "u2,mse", "--patience", "2",
+                                  "--seed", "12", "--out", "bench-pooled.json",
+                                  "--points", "bench-pooled-points.csv"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),

@@ -27,6 +27,7 @@ from .evaluate import (
     grid_search,
     mae,
     mean_signed_error,
+    pooled_grid_search,
     run_benchmark,
 )
 from .gradients import (
@@ -68,7 +69,8 @@ __all__ = [
     "grid_search", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "naive_batch_gradient",
-    "param_jacobian", "partition_upper", "population_gradient_oracle", "predict",
+    "param_jacobian", "partition_upper", "pooled_grid_search", "population_gradient_oracle",
+    "predict",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
     "train", "train_cells", "u2_batch_gradient", "u2_dataset_gradient_estimate",
     "upper_grad_coeff", "window_features",

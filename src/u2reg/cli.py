@@ -252,12 +252,12 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
     command = explicit.pop("command", None)
     if command is None:
         raise CliError("a subcommand is required (see --help)")
-    defaults, int_keys = {}, set()
+    defaults, number_types = {}, {}
     for flags, kwargs in ARG_TABLE[command]["args"]:
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
         defaults[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
-        if kwargs.get("type") is int:
-            int_keys.add(dest)
+        if kwargs.get("type") in (int, float):
+            number_types[dest] = kwargs["type"]
     opts = dict(defaults)
     config = {}
     config_path = explicit.get("config", None)
@@ -274,10 +274,14 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
         unknown = sorted(set(config) - set(defaults))
         if unknown:
             raise CliError(f"unknown config keys for '{command}': {', '.join(unknown)}")
-        for key in sorted(int_keys & set(config)):
-            value = config[key]
-            if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-                raise CliError(f"config key {key!r} must be an integer, got {value!r}")
+        for key in sorted(set(number_types) & set(config)):
+            # a flag's value must be what its type would parse: a JSON
+            # number, and for an integer flag one without a fraction
+            value, is_int = config[key], number_types[key] is int
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or (is_int and isinstance(value, float) and not value.is_integer())):
+                what = "an integer" if is_int else "a number"
+                raise CliError(f"config key {key!r} must be {what}, got {value!r:.60}")
         opts.update(config)
     opts.update(explicit)
     _reject_ignored(command, opts, set(config) | set(explicit))

@@ -118,52 +118,142 @@ def grid_search(
     labels. Ties break toward smaller lambda, then smaller rho, then smaller
     sigma, then declaration order. A cell whose training fails (a non-finite
     gradient or parameter) is disqualified but recorded, and so is every
-    cell of a block that raises as a whole; the search only fails if every
-    cell does.
+    cell of a block that raises as a whole; the search only fails, with a
+    RuntimeError, if every cell does. This is pooled_grid_search for one
+    item.
     """
-    sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
-    rhos = grid.rhos if template.naive_kind is None else (None,)
-    cells: list[CellResult] = []
-    outcomes: list[TrainResult | None] = []
-    for sigma in sigmas:
-        cell_arch = replace(arch, sigma=sigma) if sigma is not None else arch
-        first = len(cells)
-        hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in grid.lams]
-        cfgs = [replace(template, rho=h.rho if h.rho is not None else template.rho, lam=h.lam,
-                        seed=derive_seed(seed, "grid-cell", first + i))
-                for i, h in enumerate(hypers)]
+    (outcome,) = pooled_grid_search([(train_ds, val_ds, template, seed)], arch, grid)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+POOL_BLOCK_BYTES = 1 << 26
+"""Most bytes one pooled block may hold, counted as its stacked training and
+validation features plus PARAM_COPIES copies of its (C, P) float64 theta.
+
+A block holds at least one item's cells of one sigma, whatever their size. Pooling pays
+off where per-step overhead dominates (small models); a large parameter
+block gains nothing and costs memory, so the budget stops it growing.
+"""
+PARAM_COPIES = 16
+"""float64 copies of the (C, P) theta block that training holds at its peak
+(theta, its best copy, Adam's moments, the gradient and their temporaries):
+a 256-cell block of 31,501-parameter mlp cells peaked at 1,024 MB."""
+
+
+def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
+    """grid_search for each (train_ds, val_ds, template, seed) item, trained together.
+
+    Item i's outcome is the GridSearchResult that grid_search(train_ds,
+    val_ds, arch, grid, template, seed) returns, or the RuntimeError it
+    raises. The cells of all items that share a model structure, a
+    TrainConfig up to rho, lam and seed, and their training and validation
+    row counts train as one optim.train_cells block, possibly across
+    datasets; a cell computes the same floats there as in its item's own
+    search. rbf bases are an item's training rows, so rbf cells pool only
+    within an item, one block per sigma. A block stays within
+    POOL_BLOCK_BYTES. A pooled block that raises as a whole is retried one
+    item at a time, so its cells fail as in their own search. Only each
+    item's best result so far is kept while the blocks train.
+    """
+    cells: list[list[CellResult]] = [[] for _ in items]
+    best: list = [None] * len(items)  # per item, its best (rank, cell, TrainResult) so far
+    groups: dict[tuple, list] = {}  # a block's key -> its units (item, first cell, arch, cfgs)
+    for item, (train_ds, val_ds, template, seed) in enumerate(items):
+        sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
+        rhos = grid.rhos if template.naive_kind is None else (None,)
+        for sigma in sigmas:
+            cell_arch = replace(arch, sigma=sigma) if sigma is not None else arch
+            first = len(cells[item])
+            hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in grid.lams]
+            cells[item].extend(CellResult(first + i, h, math.inf) for i, h in enumerate(hypers))
+            cfgs = [replace(template, rho=h.rho if h.rho is not None else template.rho, lam=h.lam,
+                            seed=derive_seed(seed, "grid-cell", first + i))
+                    for i, h in enumerate(hypers)]
+            key = (cell_arch, train_ds.dim, id(train_ds) if arch.kind == "rbf" else None,
+                   len(train_ds), len(val_ds), replace(cfgs[0], rho=0.0, lam=0.0, seed=0))
+            groups.setdefault(key, []).append((item, first, cell_arch, cfgs))
+    for units in groups.values():
+        _train_group(units, items, cells, best)
+    outcomes = []
+    for item_cells, item_best in zip(cells, best):
+        if item_best is None:
+            details = "; ".join(f"cell {c.index}: {c.error}" for c in item_cells)
+            outcomes.append(RuntimeError(f"every grid cell failed: {details}"))
+        else:
+            _, cell, result = item_best
+            outcomes.append(GridSearchResult(cell.hyper, result, item_cells))
+    return outcomes
+
+
+def _train_group(units, items, cells, best) -> None:
+    """Init one key's units and train them in blocks that fit POOL_BLOCK_BYTES."""
+    block, pairs, size = [], set(), 0
+    for item, first, cell_arch, cfgs in units:
+        train_ds, val_ds, _, seed = items[item]
         try:
             models = [init_model(cell_arch, train_ds.dim, derive_seed(seed, "grid-init", first + i),
                                  rbf_bases=train_ds.xs)
-                      for i in range(len(hypers))]
-            block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
-            results = train_cells(block, train_ds, val_ds, cfgs)
-        except Exception as exc:  # the block failed as a whole; keep searching
-            results = [exc] * len(hypers)
-        for i, (hyper, result) in enumerate(zip(hypers, results)):
-            if isinstance(result, Exception):
-                cells.append(CellResult(first + i, hyper, math.inf, error=repr(result)))
-                outcomes.append(None)
-            else:
-                cells.append(CellResult(first + i, hyper, result.best_val_loss))
-                outcomes.append(result)
+                      for i in range(len(cfgs))]
+        except Exception as exc:  # the unit failed as a whole; keep searching
+            _file(item, first, [exc] * len(cfgs), cells, best)
+            continue
+        pair = (id(train_ds), id(val_ds))
+        width = len(train_ds) if cell_arch.kind == "rbf" else train_ds.dim
+        feature_bytes = (len(train_ds) + len(val_ds)) * width * 8
+        param_bytes = PARAM_COPIES * len(models) * models[0].theta.size * 8
+        if block and size + param_bytes + (pair not in pairs) * feature_bytes > POOL_BLOCK_BYTES:
+            _train_block(block, items, cells, best)
+            block, pairs, size = [], set(), 0
+        size += param_bytes + (pair not in pairs) * feature_bytes
+        pairs.add(pair)
+        block.append((item, first, models, cfgs))
+    if block:
+        _train_block(block, items, cells, best)
 
-    def sort_key(cell: CellResult):
-        h = cell.hyper
-        return (
-            cell.val_loss,
-            h.lam,
-            h.rho if h.rho is not None else -1.0,
-            h.sigma if h.sigma is not None else -1.0,
-            cell.index,
-        )
 
-    viable = [c for c in cells if c.error is None]
-    if not viable:
-        details = "; ".join(f"cell {c.index}: {c.error}" for c in cells)
-        raise RuntimeError(f"every grid cell failed: {details}")
-    best_cell = min(viable, key=sort_key)
-    return GridSearchResult(best_cell.hyper, outcomes[best_cell.index], cells)
+def _train_block(units, items, cells, best) -> None:
+    """Train the units' cells as one block and file each outcome in its search."""
+    models = [m for _, _, unit_models, _ in units for m in unit_models]
+    try:
+        block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
+        data = [items[item][:2] for item, _, unit_models, _ in units for _ in unit_models]
+        results = train_cells(block, data, [c for *_, cfgs in units for c in cfgs])
+    except Exception as exc:  # the block failed as a whole
+        if len(units) > 1:
+            for unit in units:
+                _train_block([unit], items, cells, best)
+            return
+        results = [exc] * len(models)
+    at = 0
+    for item, first, unit_models, _ in units:
+        _file(item, first, results[at : at + len(unit_models)], cells, best)
+        at += len(unit_models)
+
+
+def _file(item: int, first: int, results: list, cells, best) -> None:
+    """Record the outcomes of an item's cells first, first + 1, ...; keep its best."""
+    for cell, result in zip(cells[item][first:], results):
+        if isinstance(result, Exception):
+            cell.error = repr(result)
+            continue
+        cell.val_loss = result.best_val_loss
+        rank = _rank(cell)
+        if best[item] is None or rank < best[item][0]:
+            best[item] = (rank, cell, result)
+
+
+def _rank(cell: CellResult) -> tuple:
+    """Cells sort by validation loss, then smaller lam, rho, sigma, then index."""
+    h = cell.hyper
+    return (
+        cell.val_loss,
+        h.lam,
+        h.rho if h.rho is not None else -1.0,
+        h.sigma if h.sigma is not None else -1.0,
+        cell.index,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -312,15 +402,16 @@ def run_benchmark(
 
     ``seeds`` is one int (the report lists it as ``seeds=[seed]``). The task
     is generated or loaded once. Then, per K: corrupt, split into folds and
-    feature-standardize each fold; per method and fold: grid search (which
-    trains each cell of a TrainConfig(method, ...) template, so u2 and lu
-    use their default losses and huber uses huber_delta), then score the
-    chosen model on the fold's clean-only test rows. Synthetic scores are
-    against ys_true; CSV tasks without a y_true column fall back to
-    ys_prime and say so in target_label. A
-    failing (K, method, fold) item is recorded in errors and the run
-    continues. Synthetic K values are coerced to float, so 50 and 50.0 draw
-    the same streams; a repeated method or K is rejected.
+    feature-standardize each fold. Per method, one pooled_grid_search runs
+    the grid search of every (K, fold) item, so their cells train as few
+    blocks; each trains the cells of a TrainConfig(method, ...) template,
+    so u2 and lu use their default losses and huber uses huber_delta. Each
+    item's chosen model is then scored on the fold's clean-only test rows,
+    in (K, method, fold) order. Synthetic scores are against ys_true; CSV
+    tasks without a y_true column fall back to ys_prime and say so in
+    target_label. A failing (K, method, fold) item is recorded in errors
+    and the run continues. Synthetic K values are coerced to float, so 50
+    and 50.0 draw the same streams; a repeated method or K is rejected.
     """
     grid = grid or GridSpec()
     arch = arch or ArchSpec("linear")
@@ -346,19 +437,20 @@ def run_benchmark(
     target_label = "y_true" if data.ys_true is not None else "y_prime"
     scale = task.label_scale
 
-    summaries: list[MethodSummary] = []
-    points: list[dict] = []
-    errors: list[str] = []
+    fold_sets = []
     for k in k_list:
         ds = data
         if task.is_synthetic:
             ds = corrupt(data, replace(process, k_percent=k),
                          derive_seed(seed, "benchmark-corrupt", task.name, k))
         splits = split_cv(ds, folds, val_fraction, derive_seed(seed, "benchmark-splits", task.name))
-        fold_sets = [standardize(tr, (va, te)) for tr, va, te in splits]
-        for method in methods:
-            maes, signed, maes_raw, hyper = [], [], [], []
-            for fold, (tr_s, (va_s, te_s), _) in enumerate(fold_sets):
+        fold_sets.append([standardize(tr, (va, te)) for tr, va, te in splits])
+
+    searches = {}  # (k, method, fold) -> GridSearchResult or the item's exception
+    for method in methods:
+        keys, items = [], []
+        for k, sets in zip(k_list, fold_sets):
+            for fold, (tr_s, (va_s, _te), _) in enumerate(sets):
                 run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
                 try:
                     template = TrainConfig(
@@ -366,7 +458,28 @@ def run_benchmark(
                         batch_size=min(batch_size, len(tr_s)), max_epochs=max_epochs,
                         patience=patience, seed=run_seed,
                     )
-                    search = grid_search(tr_s, va_s, arch, grid, template, seed=run_seed)
+                except Exception as exc:  # a failing item, recorded when scored
+                    searches[k, method, fold] = exc
+                    continue
+                keys.append((k, method, fold))
+                items.append((tr_s, va_s, template, run_seed))
+        try:
+            outcomes = pooled_grid_search(items, arch, grid)
+        except Exception as exc:  # the search failed as a whole; so did each item
+            outcomes = [exc] * len(items)
+        searches.update(zip(keys, outcomes))
+
+    summaries: list[MethodSummary] = []
+    points: list[dict] = []
+    errors: list[str] = []
+    for k, sets in zip(k_list, fold_sets):
+        for method in methods:
+            maes, signed, maes_raw, hyper = [], [], [], []
+            for fold, (_tr, (_va, te_s), _) in enumerate(sets):
+                try:
+                    search = searches[k, method, fold]
+                    if isinstance(search, Exception):
+                        raise search
                     preds = predict(search.best_result.model, te_s.xs)
                     target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
                     fold_mae = mae(target, preds)

@@ -5,11 +5,13 @@ Adam runs at its published constants BETA1, BETA2 and EPS (Kingma & Ba
 is set per run.
 
 train_cells is the only training loop. It trains C cells of one model
-structure, which may differ in rho, lam, seed and initial theta, as one
-(C, P) parameter block: each step gathers every cell's batch, runs one
-block forward and backward pass and one elementwise Adam step. train is
-its one-cell case. A cell sees exactly the floats it would see alone, so
-grid_search (one block per sigma group) and train agree bit for bit.
+structure, which may differ in rho, lam, seed, initial theta and dataset,
+as one (C, P) parameter block: each step gathers every cell's batch from
+its own training rows, runs one block forward and backward pass and one
+elementwise Adam step. The cells' training sets share one row count and
+their validation sets another. train is its one-cell case. A cell sees
+exactly the floats it would see alone, so a pooled grid search and train
+agree bit for bit.
 
 All randomness (shuffles, dropout) is derived from each cell's seed through
 labeled streams, so a run is reproducible from (data, init theta, config)
@@ -163,24 +165,27 @@ def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> Trai
     """
     callback = None if step_callback is None else (
         lambda _cell, step, cell_model, res: step_callback(step, cell_model, res))
-    (outcome,) = train_cells(model.clone_with_theta(model.theta[None]), train_ds, val_ds, [cfg],
-                             callback)
+    (outcome,) = train_cells(model.clone_with_theta(model.theta[None]), [(train_ds, val_ds)],
+                             [cfg], callback)
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
-def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
+def train_cells(block, data, cfgs, step_callback=None) -> list:
     """Train C cells as one (C, P) parameter block; one outcome per cell.
 
     block is one model whose theta holds the cells' initial parameters, one
-    row per cell, and cfgs holds C TrainConfigs that share every field
-    except rho, lam and seed; otherwise ValueError. The caller's block is
-    never mutated. Cell c trains exactly as train would on a model holding
-    block.theta[c] with cfgs[c]: its own shuffle per epoch, its own dropout
+    row per cell; data holds each cell's (train, val) dataset pair and cfgs
+    its TrainConfig. The cfgs must share every field except rho, lam and
+    seed, every training set must have one row count and every validation
+    set another; otherwise ValueError. The caller's block is never mutated.
+    Cell c trains exactly as train would on a model holding block.theta[c]
+    with data[c] and cfgs[c]: its own shuffle per epoch, its own dropout
     stream, its own early stopping. The block computes the model features
-    of the training and validation rows once (for rbf the kernel features
-    phi) and gathers each step's (C, B) batch from them.
+    (for rbf the kernel features phi) of each distinct pair once, telling
+    pairs apart by identity, stacks them as (D, n, k) and gathers each
+    step's (C, B) batch from them.
 
     A cell leaves the block when its patience runs out, or fails alone when
     its gradient or, after an update, its parameters are not all finite;
@@ -188,40 +193,55 @@ def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
     step_callback(cell, global_step, model, grad_result) runs after each
     update of each cell still in the block.
     """
-    if block.theta.ndim != 2 or len(cfgs) != len(block.theta) or not cfgs:
-        raise ValueError("train_cells needs a (C, P) theta block with C >= 1 and one "
-                         "TrainConfig per cell")
+    if block.theta.ndim != 2 or not cfgs or not len(cfgs) == len(data) == len(block.theta):
+        raise ValueError("train_cells needs a (C, P) theta block with C >= 1, one (train, val) "
+                         "pair and one TrainConfig per cell")
     cfg = cfgs[0]
     if any(replace(c, rho=cfg.rho, lam=cfg.lam, seed=cfg.seed) != cfg for c in cfgs[1:]):
         raise ValueError("cells in one block must share every TrainConfig field but rho, lam and seed")
-    if len(train_ds) < 1:
+    unique = {(id(tr), id(va)): (tr, va) for tr, va in data}
+    slot = {key: d for d, key in enumerate(unique)}
+    where = np.array([slot[id(tr), id(va)] for tr, va in data])
+    pairs = list(unique.values())
+    trains, vals = [tr for tr, _ in pairs], [va for _, va in pairs]
+    n, batch = len(trains[0]), cfg.batch_size
+    if any(len(tr) != n for tr in trains) or any(len(va) != len(vals[0]) for va in vals):
+        raise ValueError("cells in one block must share the training and the validation row count")
+    if n < 1:
         raise ValueError("training split must be nonempty")
-    if len(val_ds) < 1:
+    if len(vals[0]) < 1:
         raise ValueError("validation split must be nonempty")
-    if cfg.batch_size > len(train_ds):
-        raise ValueError(
-            f"batch_size {cfg.batch_size} exceeds the training set size {len(train_ds)}"
-        )
-    n, batch = len(train_ds), cfg.batch_size
+    if batch > n:
+        raise ValueError(f"batch_size {batch} exceeds the training set size {n}")
     block = block.clone_with_theta(block.theta)
     # Batches gather their rows' features from one pass over the training
     # rows. For rbf that pass must round as a gathered batch does: on a copy,
     # since numpy multiplies an array by its own transpose with syrk, not
     # gemm; and a one-row batch, which BLAS runs as gemv, is recomputed alone.
-    feats, val_feats = block.features(train_ds.xs.copy()), block.features(val_ds.xs)
+    feats = _stack([block.features(tr.xs.copy()) for tr in trains])
+    ys = _stack([tr.ys_prime for tr in trains])
+    val_feats = _stack([block.features(va.xs) for va in vals])
+    val_ys = _stack([va.ys_prime for va in vals])
     loss = cfg.naive_kind if cfg.naive_kind is not None else cfg.spec
     mirror = cfg.method == "lu"
     draws_masks = getattr(block, "dropout", 0.0) > 0.0
     outcomes: list = [None] * len(cfgs)
     histories: list[list[EpochRecord]] = [[] for _ in cfgs]
     state = adam_init(block.theta.shape)
+
+    def validate(where):
+        """Each cell's validation loss; the cells of a one-dataset block share its rows."""
+        at = 0 if len(pairs) == 1 else where
+        return _val_losses(block, val_feats[at], val_ys[at], cfg)
+
     # per-cell state, compacted together whenever cells leave the block
     cells = {
         "index": np.arange(len(cfgs)),
+        "where": where,
         "seed": np.array([c.seed for c in cfgs], dtype=object),
         "rho": np.array([[c.rho] for c in cfgs]),
         "lam": np.array([[c.lam] for c in cfgs]),
-        "best_val": _val_losses(block, val_feats, val_ds.ys_prime, cfg),
+        "best_val": validate(where),
         "best_theta": block.theta.copy(),
         "best_epoch": np.full(len(cfgs), -1),
         "since": np.zeros(len(cfgs), dtype=int),
@@ -260,9 +280,10 @@ def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
             idx = order[:, start : start + batch]
             rng = [derive_rng(seed, "dropout", global_step)
                    for seed in cells["seed"]] if draws_masks else None
-            rows = (feats[idx] if idx.shape[1] > 1
-                    else np.stack([block.features(train_ds.xs[i]) for i in idx]))
-            res = block_gradient(block, rows, train_ds.ys_prime[idx], loss, cells["rho"],
+            at = cells["where"][:, None]
+            rows = (feats[at, idx] if idx.shape[1] > 1
+                    else np.stack([block.features(trains[w].xs[i]) for w, i in zip(at[:, 0], idx)]))
+            res = block_gradient(block, rows, ys[at, idx], loss, cells["rho"],
                                  cells["lam"], cfg.reg, rng, mirror)
             if not np.isfinite(res.grad).all():
                 bad = ~np.isfinite(res.grad).all(axis=1)
@@ -285,7 +306,7 @@ def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
             global_step += 1
             if not len(cells["index"]):
                 return outcomes
-        val = _val_losses(block, val_feats, val_ds.ys_prime, cfg)
+        val = validate(cells["where"])
         mean_norms = np.mean(norms, axis=1)
         seconds = time.perf_counter() - t0
         for i, cell in enumerate(cells["index"]):
@@ -303,6 +324,11 @@ def train_cells(block, train_ds, val_ds, cfgs, step_callback=None) -> list:
     for i in range(len(cells["index"])):
         outcomes[cells["index"][i]] = result(i, False)
     return outcomes
+
+
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays stacked on a new leading axis; a lone array as a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
 def _val_losses(model, feats, ys, cfg: TrainConfig) -> np.ndarray:

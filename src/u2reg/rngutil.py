@@ -13,6 +13,7 @@ import hashlib
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+_MASK32 = (1 << 32) - 1
 
 
 def _label_to_int(label) -> int:
@@ -21,9 +22,20 @@ def _label_to_int(label) -> int:
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
-    """Generator for the sub-stream named by ``labels`` under ``seed``."""
-    entropy = [int(seed) & _MASK64] + [_label_to_int(l) for l in labels]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    """Generator for the sub-stream named by ``labels`` under ``seed``.
+
+    The entropy is the seed (mod 2**64) followed by one 64-bit hash per
+    label. SeedSequence splits each of those ints into its little-endian
+    uint32 words, dropping trailing zero words ([0] for 0); the words are
+    built here directly, which is cheaper than numpy's own conversion of a
+    list of Python ints and gives the same stream.
+    """
+    words = []
+    for value in (int(seed) & _MASK64, *map(_label_to_int, labels)):
+        words.append(value & _MASK32)
+        if value >> 32:
+            words.append(value >> 32)
+    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
 
 
 def derive_seed(seed: int, *labels) -> int:

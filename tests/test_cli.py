@@ -401,12 +401,22 @@ def test_config_integer_keys_reject_fractions_and_booleans(tmp_path, capsys):
     cfg = str(tmp_path / "cfg.json")
     out = str(tmp_path / "x.csv")
     for config, key in (({"n": 50.9, "seed": 1.7}, "n"), ({"seed": 1.7}, "seed"),
-                        ({"n": True}, "n")):
+                        ({"n": True}, "n"), ({"n": [1, 2]}, "n"), ({"n": "50"}, "n")):
         with open(cfg, "w") as fh:
             json.dump(config, fh)
         assert run("generate", "--config", cfg, "--out", out) == 1
         assert f"config key '{key}' must be an integer" in capsys.readouterr().err
         assert not os.path.exists(out)
+    data = str(tmp_path / "d.csv")
+    assert run("generate", "--n", "40", "--d", "2", "--out", data) == 0
+    model = str(tmp_path / "m.json")
+    for value in ([1], {"x": 1}, True, "0.5", None):
+        with open(cfg, "w") as fh:
+            json.dump({"rho": value}, fh)
+        assert run("train", "--data", data, "--config", cfg, "--max-epochs", "1",
+                   "--out", model) == 1
+        assert "config key 'rho' must be a number" in capsys.readouterr().err
+        assert not os.path.exists(model)
     with open(cfg, "w") as fh:
         json.dump({"n": 50.0, "seed": 1}, fh)
     assert run("generate", "--config", cfg, "--out", out) == 0

@@ -21,6 +21,7 @@ from u2reg import (
     init_model,
     mae,
     mean_signed_error,
+    pooled_grid_search,
     predict,
     run_benchmark,
     split_cv,
@@ -344,14 +345,14 @@ def test_benchmark_k_type_does_not_change_the_data():
 def test_benchmark_isolates_a_failing_item(monkeypatch):
     import u2reg.evaluate as ev
 
-    real_search = ev.grid_search
+    real_search = ev.pooled_grid_search
 
-    def flaky(tr, va, arch, grid, template, seed=0):
-        if template.method == "mse":
+    def flaky(items, arch, grid):
+        if items[0][2].method == "mse":
             raise RuntimeError("boom")
-        return real_search(tr, va, arch, grid, template, seed=seed)
+        return real_search(items, arch, grid)
 
-    monkeypatch.setattr(ev, "grid_search", flaky)
+    monkeypatch.setattr(ev, "pooled_grid_search", flaky)
     task = BenchmarkTask.named("low-noise", n=120, d=3)
     rep = ev.run_benchmark(
         task, ["u2", "mse"], [50.0], folds=3, seeds=2,
@@ -366,15 +367,8 @@ def test_benchmark_isolates_a_failing_item(monkeypatch):
     assert {p["method"] for p in rep.points} == {"u2"}
 
 
-def test_benchmark_fold_score_replays_from_its_seed_labels():
-    task = BenchmarkTask.named("low-noise", n=150, d=3)
-    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(1.0,))
-    seed, k, fold, method = 4, 50.0, 1, "u2"
-    rep = run_benchmark(
-        task, ["mse", method], [25.0, k], folds=2, seeds=seed, grid=grid,
-        max_epochs=3, patience=3,
-    )
-
+def _fold_sets(task, seed, k, folds):
+    """A benchmark's standardized (train, (val, test), stats) folds at K, rebuilt by hand."""
     process = SyntheticProcess.draw(
         task.d, derive_seed(seed, "benchmark-process", task.name), beta=task.beta,
         k_percent=0.0, corruption_scale=task.corruption_scale,
@@ -382,19 +376,94 @@ def test_benchmark_fold_score_replays_from_its_seed_labels():
     clean = generate_uncorrupted(process, task.n, derive_seed(seed, "benchmark-data", task.name))
     ds = corrupt(clean, replace(process, k_percent=k),
                  derive_seed(seed, "benchmark-corrupt", task.name, k))
-    tr, va, te = split_cv(ds, 2, 0.2, derive_seed(seed, "benchmark-splits", task.name))[fold]
-    tr_s, (va_s, te_s), _ = standardize(tr, (va, te))
-    run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
-    template = TrainConfig(
-        method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
-    )
-    search = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=run_seed)
-    preds = predict(search.best_result.model, te_s.xs)
+    splits = split_cv(ds, folds, 0.2, derive_seed(seed, "benchmark-splits", task.name))
+    return [standardize(tr, (va, te)) for tr, va, te in splits]
 
-    summary = rep.summary(method, k)
-    assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
-    assert summary.fold_signed[fold] == mean_signed_error(te_s.ys_true, preds) / task.label_scale
-    assert summary.fold_hyper[fold] == search.best.as_dict()
+
+def _assert_folds_replay_alone(n, arch, sigmas):
+    """Every (K, fold) u2 item of a pooled benchmark scores as a solo grid_search."""
+    task = BenchmarkTask.named("low-noise", n=n, d=3)
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=sigmas)
+    seed, k_list, method = 4, [25.0, 50.0], "u2"
+    rep = run_benchmark(
+        task, ["mse", method], k_list, folds=2, seeds=seed, grid=grid, arch=arch,
+        max_epochs=3, patience=3,
+    )
+    assert not rep.errors
+    for k in k_list:
+        summary = rep.summary(method, k)
+        for fold, (tr_s, (va_s, te_s), _) in enumerate(_fold_sets(task, seed, k, 2)):
+            run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
+            template = TrainConfig(
+                method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
+            )
+            search = grid_search(tr_s, va_s, arch, grid, template, seed=run_seed)
+            preds = predict(search.best_result.model, te_s.xs)
+            assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
+            assert (summary.fold_signed[fold]
+                    == mean_signed_error(te_s.ys_true, preds) / task.label_scale)
+            assert summary.fold_hyper[fold] == search.best.as_dict()
+
+
+def test_benchmark_fold_score_replays_from_its_seed_labels():
+    _assert_folds_replay_alone(150, ArchSpec("linear"), (1.0,))
+    _assert_folds_replay_alone(150, ArchSpec("mlp", hidden=(5, 3), dropout=0.25), (1.0,))
+    # 2 folds of 151 rows train on 60 and 61 rows, so the items form two blocks
+    _assert_folds_replay_alone(151, ArchSpec("linear"), (1.0,))
+    _assert_folds_replay_alone(150, ArchSpec("rbf", sigma=1.0), (0.5, 2.0))
+
+
+def test_pooled_search_isolates_an_item_whose_training_diverges():
+    # an inf training label makes every cell of fold 1 fail on its first
+    # gradient; the other items share its block and must not notice
+    task = BenchmarkTask.named("low-noise", n=120, d=3)
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2, 1e-1), sigmas=(1.0,))
+    items = []
+    for fold, (tr_s, (va_s, _), _) in enumerate(_fold_sets(task, 5, 50.0, 3)):
+        if fold == 1:
+            tr_s = tr_s.subset(np.arange(len(tr_s)))
+            tr_s.ys_prime[:] = np.inf
+        items.append((tr_s, va_s, TrainConfig("u2", max_epochs=4, patience=4, seed=fold), fold))
+    with np.errstate(all="ignore"):
+        outcomes = pooled_grid_search(items, ArchSpec("linear"), grid)
+        with pytest.raises(RuntimeError, match="every grid cell failed") as alone:
+            grid_search(*items[1][:2], ArchSpec("linear"), grid, *items[1][2:])
+    assert isinstance(outcomes[1], RuntimeError)
+    assert str(outcomes[1]) == str(alone.value)
+    assert "non-finite gradient at epoch 0, step 0" in str(outcomes[1])
+    for item in (0, 2):
+        solo = grid_search(*items[item][:2], ArchSpec("linear"), grid, *items[item][2:])
+        assert outcomes[item].best == solo.best
+        assert np.array_equal(outcomes[item].best_result.model.theta, solo.best_result.model.theta)
+        assert ([(c.hyper, c.val_loss, c.error) for c in outcomes[item].cells]
+                == [(c.hyper, c.val_loss, c.error) for c in solo.cells])
+
+
+def test_benchmark_blocks_stay_within_the_memory_budget(monkeypatch):
+    # 120 rows in 3 folds train on 64 and validate on 16 rows of 3 features,
+    # so each (K, fold) item stacks 80 * 3 float64 features, and its u2 cells
+    # (one more than its mse cells) hold 2 linear thetas of 4 parameters
+    import u2reg.evaluate as ev
+
+    blocks = []
+    real_train_cells = ev.train_cells
+
+    def counted(block, data, cfgs, step_callback=None):
+        blocks.append(cfgs[0].method)
+        return real_train_cells(block, data, cfgs, step_callback)
+
+    monkeypatch.setattr(ev, "train_cells", counted)
+    task = BenchmarkTask.named("low-noise", n=120, d=3)
+    kw = dict(folds=3, seeds=3, grid=GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(1.0,)),
+              max_epochs=3, patience=3)
+    pooled = ev.run_benchmark(task, ["u2", "mse"], [25.0, 50.0], **kw)
+    assert blocks == ["u2", "mse"]
+    blocks.clear()
+    monkeypatch.setattr(ev, "POOL_BLOCK_BYTES", 2 * (80 * 3 + ev.PARAM_COPIES * 2 * 4) * 8)
+    bounded = ev.run_benchmark(task, ["u2", "mse"], [25.0, 50.0], **kw)
+    assert blocks == ["u2"] * 3 + ["mse"] * 3
+    assert bounded.to_json() == pooled.to_json()
+    assert bounded.points == pooled.points
 
 
 # ---------------------------------------------------------------------------

@@ -369,17 +369,16 @@ def _replay_by_hand(init, ds, val, cfg):
     return thetas, history, best_theta, best_val, best_epoch
 
 
-@pytest.mark.parametrize("method", METHODS)
-@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
-def test_mlp_dropout_training_replays_by_hand(kind, method):
-    # every cell of a three-cell block, each with its own rho, lam, seed and
-    # init, must match the hand loop (per-step dropout stream, np.linalg.norm)
-    # bit for bit in each step's theta, val_loss and grad_norm, and in what
-    # early stopping kept; patience 2 stops the cells at different epochs.
-    # 33 rows in batches of 8 end each epoch on a one-row batch.
-    ds = make_dataset(33, 3, seed=14)
-    val = make_dataset(12, 3, seed=15)
-    base = {"linear": LinearModel(3), "rbf": RbfLinearModel(ds.xs, 1.5), "mlp": _mlp(3, 0.5)}[kind]
+def _assert_cells_replay_by_hand(kind, method, data):
+    """Train one three-cell block on data, one (train, val) pair per cell.
+
+    Every cell, each with its own rho, lam, seed and init, must match the
+    hand loop on its own pair (per-step dropout stream, np.linalg.norm) bit
+    for bit in each step's theta, val_loss and grad_norm, and in what early
+    stopping kept; patience 2 stops the cells at different epochs.
+    """
+    base = {"linear": LinearModel(3), "rbf": RbfLinearModel(data[0][0].xs, 1.5),
+            "mlp": _mlp(3, 0.5)}[kind]
     rng = np.random.default_rng(3)
     inits = [base.clone_with_theta(base.theta + 0.3 * rng.standard_normal(base.theta.size))
              for _ in range(3)]
@@ -389,9 +388,9 @@ def test_mlp_dropout_training_replays_by_hand(kind, method):
             for rho, lam, seed in ((0.5, 1e-3, 21), (1.0, 0.0, 22), (0.25, 0.1, 23))]
     thetas = [[], [], []]
     block = base.clone_with_theta(np.stack([init.theta for init in inits]))
-    outcomes = train_cells(block, ds, val, cfgs,
+    outcomes = train_cells(block, data, cfgs,
                            step_callback=lambda c, s, m, g: thetas[c].append(m.theta.copy()))
-    for cell, (init, cfg, res) in enumerate(zip(inits, cfgs, outcomes)):
+    for cell, (init, (ds, val), cfg, res) in enumerate(zip(inits, data, cfgs, outcomes)):
         hand_thetas, history, best_theta, best_val, best_epoch = _replay_by_hand(init, ds, val, cfg)
         assert len(thetas[cell]) == len(hand_thetas) == 5 * len(res.history)
         assert all(np.array_equal(a, b) for a, b in zip(thetas[cell], hand_thetas))
@@ -402,6 +401,25 @@ def test_mlp_dropout_training_replays_by_hand(kind, method):
     assert len({len(res.history) for res in outcomes}) > 1
 
 
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+def test_mlp_dropout_training_replays_by_hand(kind, method):
+    # 33 rows in batches of 8 end each epoch on a one-row batch
+    pair = (make_dataset(33, 3, seed=14), make_dataset(12, 3, seed=15))
+    _assert_cells_replay_by_hand(kind, method, [pair] * 3)
+
+
+@pytest.mark.parametrize("method", ["u2", "mse"])
+@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+def test_a_pooled_block_replays_each_dataset_by_hand(kind, method):
+    # cells 0 and 2 share one (train, val) pair and cell 1 has its own, so
+    # the block stacks two datasets and gathers every batch and validation
+    # pass per cell; an rbf block keeps the first training set's bases
+    first = (make_dataset(33, 3, seed=14), make_dataset(12, 3, seed=15))
+    second = (make_dataset(33, 3, seed=24), make_dataset(12, 3, seed=25))
+    _assert_cells_replay_by_hand(kind, method, [first, second, first])
+
+
 def test_a_failing_cell_leaves_the_rest_of_the_block_alone():
     ds = make_dataset(30, 3, seed=17)
     val = make_dataset(12, 3, seed=18)
@@ -409,7 +427,7 @@ def test_a_failing_cell_leaves_the_rest_of_the_block_alone():
             for s, rho in enumerate((0.5, 1e308, 1.0))]
     block = LinearModel(3, np.zeros((3, 4)))
     with np.errstate(all="ignore"):
-        outcomes = train_cells(block, ds, val, cfgs)
+        outcomes = train_cells(block, [(ds, val)] * 3, cfgs)
     assert not block.theta.any()  # the caller's block is left as it was
     assert isinstance(outcomes[1], FloatingPointError)
     assert str(outcomes[1]) == "non-finite gradient at epoch 0, step 0"
@@ -425,8 +443,13 @@ def test_train_cells_rejects_mixed_blocks():
     u2 = TrainConfig("u2", max_epochs=1)
     pair = LinearModel(2, np.zeros((2, 3)))
     empty = LinearModel(2, np.zeros((0, 3)))
-    for block, cfgs in ((pair, [u2]), (LinearModel(2), [u2]), (empty, [])):
+    for block, data, cfgs in ((pair, [(ds, ds)], [u2]), (pair, [(ds, ds)] * 2, [u2]),
+                              (LinearModel(2), [(ds, ds)], [u2]), (empty, [], [])):
         with pytest.raises(ValueError, match="one TrainConfig per cell"):
-            train_cells(block, ds, ds, cfgs)
+            train_cells(block, data, cfgs)
     with pytest.raises(ValueError, match="TrainConfig field"):
-        train_cells(pair, ds, ds, [u2, TrainConfig("u2", max_epochs=2)])
+        train_cells(pair, [(ds, ds)] * 2, [u2, TrainConfig("u2", max_epochs=2)])
+    shorter = make_dataset(19, 2, seed=20)
+    for data in ([(ds, ds), (shorter, ds)], [(ds, ds), (ds, shorter)]):
+        with pytest.raises(ValueError, match="row count"):
+            train_cells(pair, data, [u2, u2])
