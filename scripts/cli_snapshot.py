@@ -5,16 +5,16 @@
 Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
-kind, every method, --config, stdout output and four rejected invocations
-(names starting with "reject-", which exit 1). The benchmark runs also reach
-the training engine's early stopping (all five methods, patience 2), rbf
-grids over two sigmas, an mlp grid with dropout, a grid with one failing
-rho = 1e308 cell, and (K, fold) items that train on 64 or 65 rows, so their
-pooled grid search forms blocks of two row counts. Warnings are written as
-"Category: message" lines without their source location, which differs
-between checkouts. Run it once per
-checkout into two directories and compare them with `diff -r`: a refactor
-that keeps the CLI's behaviour leaves no difference.
+kind, every method, --config, stdout output, each subcommand's --help (at
+100 columns) and five rejected invocations (names starting with "reject-",
+which exit 1). The benchmark runs also reach the training engine's early
+stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
+grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
+items that train on 64 or 65 rows, so their pooled grid search forms blocks
+of two row counts. Warnings are written as "Category: message" lines
+without their source location, which differs between checkouts. Run it
+once per checkout into two directories and compare them with `diff -r`: a
+refactor that keeps the CLI's behaviour leaves no difference.
 """
 
 import contextlib
@@ -24,7 +24,7 @@ import os
 import sys
 import warnings
 
-from u2reg.cli import run_cli
+from u2reg.cli import ARG_TABLE, run_cli
 
 TRAIN = ("train", "--data", "cor.csv", "--max-epochs", "4", "--patience", "4", "--seed", "5")
 RUNS = [
@@ -86,6 +86,9 @@ RUNS = [
                                  "--out", "reject-preds.csv"]),
     ("reject-config-fractional-int", ["generate", "--config", "fractional.json",
                                       "--out", "reject-gen.csv"]),
+    ("reject-benchmark-batch-size-zero", ["benchmark", "--n", "60", "--d", "2", "--folds", "2",
+                                          "--batch-size", "0", "--out", "reject-bench.json"]),
+    *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {
     "config.json": {"method": "u2", "lam": 0.01, "rho": 0.5, "max_epochs": 5, "batch_size": 16},
@@ -100,6 +103,7 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 def main(out: str) -> None:
     warnings.showwarning = _show_warning
+    os.environ["COLUMNS"] = "100"  # argparse wraps help and usage text to this width
     os.makedirs(out, exist_ok=True)
     os.chdir(out)
     for name, content in INPUTS.items():

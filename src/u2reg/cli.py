@@ -35,7 +35,7 @@ from .data import (
     WINDOW_STATS,
 )
 from .evaluate import BenchmarkTask, GridSpec, TASK_BETAS, estimate_eta_xi_delta, run_benchmark
-from .losses import LossSpec, parse_loss_kind
+from .losses import LossSpec
 from .models import (
     ArchSpec,
     LinearModel,
@@ -60,7 +60,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# argument tables (shared between the help parser and the override detector)
+# argument tables (shared between the parser and the option resolver)
 # ---------------------------------------------------------------------------
 
 def _arg(*flags, **kwargs):
@@ -157,12 +157,12 @@ ARG_TABLE = {
             _arg("--lambda", dest="lam", type=float, default=0.0,
                  help="regularization strength"),
             *_LOSS_ARGS, *_MODEL_ARGS, *_TRAIN_LOOP_ARGS,
-            _arg("--no-standardize", action="store_true",
+            _arg("--no-standardize", action="store_true", default=False,
                  help="skip feature standardization (stats are stored in the model)"),
             _arg("--out", type=str, default=None, help="model JSON path (required)"),
             _arg("--history", type=str, default=None,
                  help="optional per-epoch CSV (epoch,val_loss,grad_norm)"),
-            _arg("--timing", action="store_true",
+            _arg("--timing", action="store_true", default=False,
                  help="include wall-clock seconds in --history (not reproducible)"),
         ],
     },
@@ -227,35 +227,30 @@ ARG_TABLE = {
 }
 
 
-def _build_parser(suppress: bool) -> _Parser:
+def _build_parser() -> _Parser:
+    """The CLI parser; options it is not given stay out of its namespace."""
     parser = _Parser(prog="u2reg", description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", metavar="command")
     for name, info in ARG_TABLE.items():
         # no prefix matching: benchmark would otherwise read --sigma as --sigma-grid
-        sub = subs.add_parser(
-            name, help=info["help"], description=info["help"],
-            formatter_class=argparse.ArgumentDefaultsHelpFormatter, allow_abbrev=False,
-        )
+        sub = subs.add_parser(name, help=info["help"], description=info["help"],
+                              allow_abbrev=False)
         for flags, kwargs in info["args"]:
-            kw = dict(kwargs)
-            if suppress:
-                kw.pop("default", None)
-                kw["default"] = argparse.SUPPRESS
-            sub.add_argument(*flags, **kw)
+            sub.add_argument(*flags, **{**kwargs, "default": argparse.SUPPRESS,
+                                        "help": f"{kwargs['help']} (default: {kwargs['default']})"})
     return parser
 
 
 def _resolve_options(argv: list[str]) -> tuple[str, dict]:
     """Merge defaults, config file and explicit flags for one invocation."""
-    _build_parser(suppress=False).parse_args(argv)  # full validation + --help
-    explicit = vars(_build_parser(suppress=True).parse_args(argv))
+    explicit = vars(_build_parser().parse_args(argv))
     command = explicit.pop("command", None)
     if command is None:
         raise CliError("a subcommand is required (see --help)")
     defaults, number_types = {}, {}
     for flags, kwargs in ARG_TABLE[command]["args"]:
         dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
-        defaults[dest] = False if kwargs.get("action") == "store_true" else kwargs.get("default")
+        defaults[dest] = kwargs["default"]
         if kwargs.get("type") in (int, float):
             number_types[dest] = kwargs["type"]
     opts = dict(defaults)

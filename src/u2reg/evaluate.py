@@ -23,7 +23,7 @@ from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, spl
 from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
 from .losses import LossSpec, dloss_df
 from .models import ArchSpec, init_model, predict
-from .optim import METHODS, TrainConfig, TrainResult, train_cells
+from .optim import TrainConfig, TrainResult, train_cells
 from .rngutil import derive_rng, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -148,18 +148,20 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
     Item i's outcome is the GridSearchResult that grid_search(train_ds,
     val_ds, arch, grid, template, seed) returns, or the RuntimeError it
     raises. The cells of all items that share a model structure, a
-    TrainConfig up to rho, lam and seed, and their training and validation
-    row counts train as one optim.train_cells block, possibly across
-    datasets; a cell computes the same floats there as in its item's own
-    search. rbf bases are an item's training rows, so rbf cells pool only
-    within an item, one block per sigma. A block stays within
-    POOL_BLOCK_BYTES. A pooled block that raises as a whole is retried one
-    item at a time, so its cells fail as in their own search. Only each
-    item's best result so far is kept while the blocks train.
+    TrainConfig up to rho, lam and seed, their training and validation row
+    counts and their feature counts train as one optim.train_cells block,
+    possibly across datasets; a cell computes the same floats there as in
+    its item's own search. rbf bases are an item's training rows, so rbf
+    cells pool only within an item, one block per sigma. A block stays
+    within POOL_BLOCK_BYTES. Every input that train_cells checks for a
+    block as a whole is shared by its cells, so a block that raises (in
+    model init or in train_cells) fails each of its cells with that error,
+    as their own search would. Only each item's best result so far is kept
+    while the blocks train.
     """
     cells: list[list[CellResult]] = [[] for _ in items]
     best: list = [None] * len(items)  # per item, its best (rank, cell, TrainResult) so far
-    groups: dict[tuple, list] = {}  # a block's key -> its units (item, first cell, arch, cfgs)
+    groups: dict[tuple, list] = {}  # a block's key -> its units (item, cells, cfgs)
     for item, (train_ds, val_ds, template, seed) in enumerate(items):
         sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
         rhos = grid.rhos if template.naive_kind is None else (None,)
@@ -167,15 +169,17 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
             cell_arch = replace(arch, sigma=sigma) if sigma is not None else arch
             first = len(cells[item])
             hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in grid.lams]
-            cells[item].extend(CellResult(first + i, h, math.inf) for i, h in enumerate(hypers))
-            cfgs = [replace(template, rho=h.rho if h.rho is not None else template.rho, lam=h.lam,
-                            seed=derive_seed(seed, "grid-cell", first + i))
-                    for i, h in enumerate(hypers)]
-            key = (cell_arch, train_ds.dim, id(train_ds) if arch.kind == "rbf" else None,
-                   len(train_ds), len(val_ds), replace(cfgs[0], rho=0.0, lam=0.0, seed=0))
-            groups.setdefault(key, []).append((item, first, cell_arch, cfgs))
-    for units in groups.values():
-        _train_group(units, items, cells, best)
+            unit_cells = [CellResult(first + i, h, math.inf) for i, h in enumerate(hypers)]
+            cells[item].extend(unit_cells)
+            cfgs = [replace(template, rho=c.hyper.rho if c.hyper.rho is not None else template.rho,
+                            lam=c.hyper.lam, seed=derive_seed(seed, "grid-cell", c.index))
+                    for c in unit_cells]
+            key = (cell_arch, id(train_ds) if arch.kind == "rbf" else None,
+                   train_ds.dim, val_ds.dim, len(train_ds), len(val_ds),
+                   replace(template, rho=0.0, lam=0.0, seed=0))
+            groups.setdefault(key, []).append((item, unit_cells, cfgs))
+    for (cell_arch, *_), units in groups.items():
+        _train_group(cell_arch, units, items, best)
     outcomes = []
     for item_cells, item_best in zip(cells, best):
         if item_best is None:
@@ -187,54 +191,40 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
     return outcomes
 
 
-def _train_group(units, items, cells, best) -> None:
-    """Init one key's units and train them in blocks that fit POOL_BLOCK_BYTES."""
+def _train_group(arch: ArchSpec, units, items, best) -> None:
+    """Train one key's units in blocks that fit POOL_BLOCK_BYTES."""
+    first_train = items[units[0][0]][0]
+    width = len(first_train) if arch.kind == "rbf" else first_train.dim  # of a model's features
+    layers = (width, *(arch.hidden if arch.kind == "mlp" else ()), 1)
+    n_params = sum((a + 1) * b for a, b in zip(layers, layers[1:])) - (arch.kind == "rbf")
     block, pairs, size = [], set(), 0
-    for item, first, cell_arch, cfgs in units:
-        train_ds, val_ds, _, seed = items[item]
-        try:
-            models = [init_model(cell_arch, train_ds.dim, derive_seed(seed, "grid-init", first + i),
-                                 rbf_bases=train_ds.xs)
-                      for i in range(len(cfgs))]
-        except Exception as exc:  # the unit failed as a whole; keep searching
-            _file(item, first, [exc] * len(cfgs), cells, best)
-            continue
+    for item, unit_cells, cfgs in units:
+        train_ds, val_ds = items[item][:2]
         pair = (id(train_ds), id(val_ds))
-        width = len(train_ds) if cell_arch.kind == "rbf" else train_ds.dim
         feature_bytes = (len(train_ds) + len(val_ds)) * width * 8
-        param_bytes = PARAM_COPIES * len(models) * models[0].theta.size * 8
+        param_bytes = PARAM_COPIES * len(cfgs) * n_params * 8
         if block and size + param_bytes + (pair not in pairs) * feature_bytes > POOL_BLOCK_BYTES:
-            _train_block(block, items, cells, best)
+            _train_block(arch, block, items, best)
             block, pairs, size = [], set(), 0
         size += param_bytes + (pair not in pairs) * feature_bytes
         pairs.add(pair)
-        block.append((item, first, models, cfgs))
-    if block:
-        _train_block(block, items, cells, best)
+        block.append((item, unit_cells, cfgs))
+    _train_block(arch, block, items, best)
 
 
-def _train_block(units, items, cells, best) -> None:
-    """Train the units' cells as one block and file each outcome in its search."""
-    models = [m for _, _, unit_models, _ in units for m in unit_models]
+def _train_block(arch: ArchSpec, units, items, best) -> None:
+    """Init and train the units' cells as one block; file each outcome in its search."""
+    owned = [(item, cell) for item, unit_cells, _ in units for cell in unit_cells]
     try:
+        models = [init_model(arch, items[i][0].dim, derive_seed(items[i][3], "grid-init", c.index),
+                             rbf_bases=items[i][0].xs)
+                  for i, c in owned]
         block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
-        data = [items[item][:2] for item, _, unit_models, _ in units for _ in unit_models]
-        results = train_cells(block, data, [c for *_, cfgs in units for c in cfgs])
-    except Exception as exc:  # the block failed as a whole
-        if len(units) > 1:
-            for unit in units:
-                _train_block([unit], items, cells, best)
-            return
-        results = [exc] * len(models)
-    at = 0
-    for item, first, unit_models, _ in units:
-        _file(item, first, results[at : at + len(unit_models)], cells, best)
-        at += len(unit_models)
-
-
-def _file(item: int, first: int, results: list, cells, best) -> None:
-    """Record the outcomes of an item's cells first, first + 1, ...; keep its best."""
-    for cell, result in zip(cells[item][first:], results):
+        results = train_cells(block, [items[i][:2] for i, _ in owned],
+                              [cfg for *_, cfgs in units for cfg in cfgs])
+    except Exception as exc:  # the block failed as a whole, and so did each of its cells
+        results = [exc] * len(owned)
+    for (item, cell), result in zip(owned, results):
         if isinstance(result, Exception):
             cell.error = repr(result)
             continue
@@ -400,25 +390,27 @@ def run_benchmark(
 ) -> BenchmarkReport:
     """Full corruption-to-report pipeline, deterministic per root seed.
 
-    ``seeds`` is one int (the report lists it as ``seeds=[seed]``). The task
-    is generated or loaded once. Then, per K: corrupt, split into folds and
-    feature-standardize each fold. Per method, one pooled_grid_search runs
-    the grid search of every (K, fold) item, so their cells train as few
-    blocks; each trains the cells of a TrainConfig(method, ...) template,
-    so u2 and lu use their default losses and huber uses huber_delta. Each
-    item's chosen model is then scored on the fold's clean-only test rows,
-    in (K, method, fold) order. Synthetic scores are against ys_true; CSV
-    tasks without a y_true column fall back to ys_prime and say so in
-    target_label. A failing (K, method, fold) item is recorded in errors
-    and the run continues. Synthetic K values are coerced to float, so 50
-    and 50.0 draw the same streams; a repeated method or K is rejected.
+    ``seeds`` is one int (the report lists it as ``seeds=[seed]``). Each
+    method's TrainConfig(method, ...) template is built first, so u2 and lu
+    use their default losses, huber uses huber_delta, and an invalid
+    setting raises ValueError before any data exists. The task is then
+    generated or loaded once. Per K: corrupt, split into folds and
+    feature-standardize each fold. One pooled_grid_search runs the grid
+    search of every (K, method, fold) item, so their cells train as few
+    blocks, and each item's chosen model is scored on the fold's clean-only
+    test rows, in that same order. Synthetic scores are against ys_true;
+    CSV tasks without a y_true column fall back to ys_prime and say so in
+    target_label. An item whose search or scoring fails is recorded in
+    errors and the run continues. Synthetic K values are coerced to float,
+    so 50 and 50.0 draw the same streams; a repeated method or K is
+    rejected.
     """
     grid = grid or GridSpec()
     arch = arch or ArchSpec("linear")
     seed = operator.index(seeds)
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    templates = {m: TrainConfig(m, huber_delta=huber_delta, reg=reg, batch_size=batch_size,
+                                max_epochs=max_epochs, patience=patience)
+                 for m in methods}
     k_list = [float(k) for k in k_list] if task.is_synthetic else [None]
     for what, values in (("method", list(methods)), ("K", k_list)):
         for i, value in enumerate(values):
@@ -446,28 +438,15 @@ def run_benchmark(
         splits = split_cv(ds, folds, val_fraction, derive_seed(seed, "benchmark-splits", task.name))
         fold_sets.append([standardize(tr, (va, te)) for tr, va, te in splits])
 
-    searches = {}  # (k, method, fold) -> GridSearchResult or the item's exception
-    for method in methods:
-        keys, items = [], []
-        for k, sets in zip(k_list, fold_sets):
+    items = []
+    for k, sets in zip(k_list, fold_sets):
+        for method in methods:
             for fold, (tr_s, (va_s, _te), _) in enumerate(sets):
                 run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
-                try:
-                    template = TrainConfig(
-                        method, huber_delta=huber_delta, reg=reg,
-                        batch_size=min(batch_size, len(tr_s)), max_epochs=max_epochs,
-                        patience=patience, seed=run_seed,
-                    )
-                except Exception as exc:  # a failing item, recorded when scored
-                    searches[k, method, fold] = exc
-                    continue
-                keys.append((k, method, fold))
+                template = replace(templates[method], batch_size=min(batch_size, len(tr_s)),
+                                   seed=run_seed)
                 items.append((tr_s, va_s, template, run_seed))
-        try:
-            outcomes = pooled_grid_search(items, arch, grid)
-        except Exception as exc:  # the search failed as a whole; so did each item
-            outcomes = [exc] * len(items)
-        searches.update(zip(keys, outcomes))
+    searches = iter(pooled_grid_search(items, arch, grid))
 
     summaries: list[MethodSummary] = []
     points: list[dict] = []
@@ -476,8 +455,8 @@ def run_benchmark(
         for method in methods:
             maes, signed, maes_raw, hyper = [], [], [], []
             for fold, (_tr, (_va, te_s), _) in enumerate(sets):
+                search = next(searches)
                 try:
-                    search = searches[k, method, fold]
                     if isinstance(search, Exception):
                         raise search
                     preds = predict(search.best_result.model, te_s.xs)

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_coeff
+from .rngutil import derive_rng
 
 REGULARIZERS = ("l1", "l2")
 
@@ -197,8 +198,6 @@ def population_gradient_oracle(
     standard errors of the Monte-Carlo mean; with_se needs a model with
     param_jacobian_batch (linear or rbf).
     """
-    from .rngutil import derive_rng
-
     if n_rows < 2:
         raise ValueError("need at least two Monte-Carlo rows")
     if with_se and not hasattr(model, "param_jacobian_batch"):

@@ -1,12 +1,28 @@
 """End-to-end CLI behavior: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 
 import numpy as np
 import pytest
 
-from u2reg import Dataset, LinearModel, LossSpec, SyntheticProcess, estimate_eta_xi_delta, load_model
+from u2reg import (
+    ArchSpec,
+    BenchmarkTask,
+    Dataset,
+    GridSpec,
+    LinearModel,
+    LossSpec,
+    SyntheticProcess,
+    TrainConfig,
+    estimate_eta_xi_delta,
+    init_model,
+    load_model,
+    run_benchmark,
+    standardize,
+    train,
+)
 from u2reg.cli import ARG_TABLE, run_cli
 from u2reg.rngutil import derive_seed
 
@@ -158,6 +174,27 @@ def test_generate_corrupt_train_predict_happy_path(pipeline, capsys):
     assert preds[0] == "index,y_pred"
     assert len(preds) == 1 + 120
     float(preds[1].split(",")[1])
+
+
+def test_train_validates_on_val_data_and_rejects_a_width_mismatch(pipeline, capsys):
+    tmp_path, data, cor = pipeline
+    out = str(tmp_path / "m.json")
+    assert run("train", "--data", cor, "--val-data", data, "--method", "mse",
+               "--max-epochs", "3", "--seed", "4", "--out", out) == 0
+    assert "on 120 rows" in capsys.readouterr().err  # every --data row trains
+    train_s, (val_s,), _ = standardize(Dataset.from_csv(cor), (Dataset.from_csv(data),))
+    result = train(init_model(ArchSpec("linear"), 3, derive_seed(4, "cli-init")), train_s, val_s,
+                   TrainConfig("mse", max_epochs=3, seed=derive_seed(4, "cli-train")))
+    model, payload = load_model(out)
+    assert payload["best_val_loss"] == result.best_val_loss
+    assert np.array_equal(model.theta, result.model.theta)
+
+    narrow, rejected = str(tmp_path / "narrow.csv"), str(tmp_path / "rejected.json")
+    assert run("generate", "--n", "30", "--d", "2", "--out", narrow) == 0
+    capsys.readouterr()
+    assert run("train", "--data", cor, "--val-data", narrow, "--out", rejected) == 1
+    assert "validation data feature count does not match" in capsys.readouterr().err
+    assert not os.path.exists(rejected)
 
 
 def test_train_artifacts_are_byte_deterministic(pipeline, capsys):
@@ -532,6 +569,34 @@ def test_benchmark_repeated_method_or_k_exits_one(capsys):
     assert "K 50.0 is listed more than once" in capsys.readouterr().err
 
 
+def test_benchmark_bad_training_settings_exit_one_and_write_nothing(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    small = ["benchmark", "--n", "60", "--d", "2", "--folds", "2", "--k", "50",
+             "--lam-grid", "0.01", "--out", str(out)]
+    for bad, message in ((["--batch-size", "0"], "batch_size must be positive"),
+                         (["--max-epochs", "-1"], "max_epochs must be nonnegative"),
+                         (["--patience", "-1"], "patience must be nonnegative"),
+                         (["--methods", "huber", "--huber-delta", "0"],
+                          "huber_delta must be positive and finite")):
+        assert run(*small, *bad) == 1, bad
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_benchmark_beta_and_corruption_scale_reach_the_report(capsys):
+    assert run("benchmark", "--n", "60", "--d", "2", "--folds", "2", "--methods", "mse",
+               "--k", "50", "--max-epochs", "1", "--lam-grid", "0.01",
+               "--beta", "2", "--corruption-scale", "3") == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert (payload["beta"], payload["corruption_scale"]) == (2.0, 3.0)
+    assert payload["label_scale"] == math.sqrt(2 + 1 / 2.0)
+    task = BenchmarkTask("low-noise", beta=2.0, n=60, d=2, corruption_scale=3.0)
+    report = run_benchmark(task, ["mse"], [50.0], folds=2, seeds=0,
+                           grid=GridSpec(lams=(0.01,)), max_epochs=1)
+    assert out == report.to_json()
+
+
 def test_unexpected_runtime_failure_maps_to_exit_two(monkeypatch, capsys):
     import u2reg.cli as cli
 
@@ -578,6 +643,29 @@ def test_diagnose_intercept_shift_changes_eta(tmp_path, capsys):
     eta_a = json.loads(open(a).read())["eta"]
     eta_b = json.loads(open(b).read())["eta"]
     assert eta_b < eta_a  # raising the fit moves draws below it
+
+
+def test_diagnose_scores_a_model_file_and_rejects_a_width_mismatch(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    model_path, out = str(tmp_path / "m.json"), str(tmp_path / "diag.json")
+    assert run("train", "--data", cor, "--method", "mse", "--max-epochs", "3",
+               "--out", model_path) == 0
+    assert run("diagnose", "--d", "3", "--k", "50", "--n-mc", "2000", "--seed", "2",
+               "--model-file", model_path, "--out", out) == 0
+    capsys.readouterr()
+    process = SyntheticProcess.draw(3, derive_seed(2, "cli-diagnose-process"), beta=1.0,
+                                    k_percent=50.0)
+    diag = estimate_eta_xi_delta(process, load_model(model_path)[0],
+                                 LossSpec.parse("absolute", "absolute"), 2000,
+                                 derive_seed(2, "cli-diagnose-mc"))
+    payload = json.loads(open(out).read())
+    assert (payload["eta"], payload["delta"]) == (diag.eta, diag.delta)
+
+    rejected = str(tmp_path / "rejected.json")
+    assert run("diagnose", "--d", "4", "--n-mc", "2000", "--model-file", model_path,
+               "--out", rejected) == 1
+    assert "model feature count does not match --d" in capsys.readouterr().err
+    assert not os.path.exists(rejected)
 
 
 # ---------------------------------------------------------------------------

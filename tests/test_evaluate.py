@@ -8,6 +8,7 @@ import pytest
 from u2reg import (
     ArchSpec,
     BenchmarkTask,
+    Dataset,
     GridSpec,
     LinearModel,
     LossKind,
@@ -345,26 +346,29 @@ def test_benchmark_k_type_does_not_change_the_data():
 def test_benchmark_isolates_a_failing_item(monkeypatch):
     import u2reg.evaluate as ev
 
-    real_search = ev.pooled_grid_search
+    real_train_cells = ev.train_cells
 
-    def flaky(items, arch, grid):
-        if items[0][2].method == "mse":
+    def flaky(block, data, cfgs, step_callback=None):
+        if cfgs[0].method == "mse":
             raise RuntimeError("boom")
-        return real_search(items, arch, grid)
+        return real_train_cells(block, data, cfgs, step_callback)
 
-    monkeypatch.setattr(ev, "pooled_grid_search", flaky)
+    monkeypatch.setattr(ev, "train_cells", flaky)
     task = BenchmarkTask.named("low-noise", n=120, d=3)
     rep = ev.run_benchmark(
         task, ["u2", "mse"], [50.0], folds=3, seeds=2,
         grid=GridSpec(rhos=(1.0,), lams=(1e-2,), sigmas=(1.0,)), max_epochs=2, patience=2,
     )
     assert rep.errors == [
-        f"seed=2 k=50.0 fold={fold} method=mse: RuntimeError('boom')" for fold in range(3)
+        f"seed=2 k=50.0 fold={fold} method=mse: "
+        "RuntimeError(\"every grid cell failed: cell 0: RuntimeError('boom')\")"
+        for fold in range(3)
     ]
     assert len(rep.summary("u2", 50.0).fold_maes) == 3
     with pytest.raises(KeyError):
         rep.summary("mse", 50.0)
     assert {p["method"] for p in rep.points} == {"u2"}
+    assert rep.to_text().splitlines()[-3:] == [f"error: {err}" for err in rep.errors]
 
 
 def _fold_sets(task, seed, k, folds):
@@ -437,6 +441,40 @@ def test_pooled_search_isolates_an_item_whose_training_diverges():
         assert np.array_equal(outcomes[item].best_result.model.theta, solo.best_result.model.theta)
         assert ([(c.hyper, c.val_loss, c.error) for c in outcomes[item].cells]
                 == [(c.hyper, c.val_loss, c.error) for c in solo.cells])
+
+
+def test_pooled_search_isolates_an_item_with_a_narrower_validation_set():
+    # the narrow item's cells cannot share the other item's block; its own
+    # block fails in train_cells, and the other item must not notice
+    task = BenchmarkTask.named("low-noise", n=120, d=3)
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(1.0,))
+    (tr0, (va0, _), _), (tr1, (va1, _), _), _ = _fold_sets(task, 6, 50.0, 3)
+    narrow = Dataset(va1.xs[:, :2], va1.ys_prime)
+    items = [(tr0, va0, TrainConfig("u2", max_epochs=3, patience=3, seed=0), 0),
+             (tr1, narrow, TrainConfig("u2", max_epochs=3, patience=3, seed=1), 1)]
+    outcomes = pooled_grid_search(items, ArchSpec("linear"), grid)
+    assert isinstance(outcomes[1], RuntimeError)
+    assert str(outcomes[1]) == (
+        "every grid cell failed: cell 0: ValueError('expected 3 features, got 2'); "
+        "cell 1: ValueError('expected 3 features, got 2')"
+    )
+    solo = grid_search(tr0, va0, ArchSpec("linear"), grid, *items[0][2:])
+    assert outcomes[0].best == solo.best
+    assert np.array_equal(outcomes[0].best_result.model.theta, solo.best_result.model.theta)
+    assert ([(c.hyper, c.val_loss, c.error) for c in outcomes[0].cells]
+            == [(c.hyper, c.val_loss, c.error) for c in solo.cells])
+
+
+def test_grid_search_names_every_cell_of_blocks_that_fail_as_a_whole():
+    # a model on zero features cannot be built: each sigma's block fails in
+    # model init, before train_cells runs
+    empty = Dataset(np.zeros((20, 0)), np.zeros(20))
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(0.5, 2.0))
+    with pytest.raises(RuntimeError) as failed:
+        grid_search(empty, empty, ArchSpec("rbf", sigma=1.0), grid, TrainConfig("u2"), seed=3)
+    error = "ValueError('input_dim must be a positive integer')"
+    assert str(failed.value) == "every grid cell failed: " + "; ".join(
+        f"cell {i}: {error}" for i in range(4))
 
 
 def test_benchmark_blocks_stay_within_the_memory_budget(monkeypatch):
