@@ -5,9 +5,9 @@
 Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
-kind, every method, --config, stdout output, each subcommand's --help (at
-100 columns) and five rejected invocations (names starting with "reject-",
-which exit 1). The benchmark runs also reach the training engine's early
+kind, every method, --config (one benchmark takes its lists as JSON lists),
+stdout output, each subcommand's --help (at 100 columns) and eight rejected
+invocations (names starting with "reject-", which exit 1). The benchmark runs also reach the training engine's early
 stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
 grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
 items that train on 64 or 65 rows, so their pooled grid search forms blocks
@@ -74,6 +74,10 @@ RUNS = [
                                   "--folds", "3", "--methods", "u2,mse", "--patience", "2",
                                   "--seed", "12", "--out", "bench-pooled.json",
                                   "--points", "bench-pooled-points.csv"]),
+    ("benchmark-config-lists", ["benchmark", "--config", "lists.json", "--n", "120", "--d", "3",
+                                "--model", "mlp", "--folds", "2", "--max-epochs", "3",
+                                "--rho-grid", "0.5,1", "--seed", "6",
+                                "--out", "bench-config-lists.json"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),
@@ -86,6 +90,11 @@ RUNS = [
                                  "--out", "reject-preds.csv"]),
     ("reject-config-fractional-int", ["generate", "--config", "fractional.json",
                                       "--out", "reject-gen.csv"]),
+    ("reject-config-path-not-string", ["generate", "--config", "path-not-string.json"]),
+    ("reject-config-flag-not-boolean", [*TRAIN, "--config", "flag-not-boolean.json",
+                                        "--out", "reject-boolean.json"]),
+    ("reject-hidden-fractional", [*TRAIN, "--model", "mlp", "--hidden", "8.5,4",
+                                  "--out", "reject-mlp.json"]),
     ("reject-benchmark-batch-size-zero", ["benchmark", "--n", "60", "--d", "2", "--folds", "2",
                                           "--batch-size", "0", "--out", "reject-bench.json"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
@@ -94,6 +103,10 @@ INPUTS = {
     "config.json": {"method": "u2", "lam": 0.01, "rho": 0.5, "max_epochs": 5, "batch_size": 16},
     "not-object.json": [1, 2],
     "fractional.json": {"n": 50.9, "seed": 1.7},
+    "lists.json": {"k": [25, 50], "methods": ["u2", "mse"], "lam_grid": [0.01, 0.1],
+                   "hidden": [6, 4]},
+    "path-not-string.json": {"out": 5},
+    "flag-not-boolean.json": {"no_standardize": "false"},
 }
 
 

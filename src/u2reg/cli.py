@@ -3,7 +3,10 @@
 Subcommands: generate, corrupt, train, predict, benchmark, diagnose,
 features. Every option can also come from a JSON config file (--config);
 explicit flags override config values, which override built-in defaults.
-Unknown config keys are rejected before any compute happens.
+ARG_TABLE alone owns each flag's type, choices and required-ness; flags,
+config values (first checked against the flag's kind) and string defaults
+all parse through the flag's own type, once, before any compute. Unknown
+config keys are rejected.
 
 Exit codes: 0 success, 1 validation error (bad flags, bad config, bad
 inputs), 2 runtime failure. Messages go to standard error; data goes to
@@ -67,21 +70,61 @@ def _arg(*flags, **kwargs):
     return (flags, kwargs)
 
 
+def _type(name: str, parse):
+    """Name a flag type; argparse reports a bad value as "invalid <name> value"."""
+    parse.__name__ = name
+    return parse
+
+
+def _split(text, item) -> tuple:
+    return tuple(item(part.strip()) for part in str(text).split(",") if part.strip())
+
+
+_NUMBER = _type("number", lambda text: float(text))
+_NUMBERS = _type("number list", lambda text: _split(text, float))
+_INTEGERS = _type("integer list", lambda text: _split(text, int))
+_NAMES = _type("name list", lambda text: _split(text, str))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_scalar(value) -> bool:
+    return isinstance(value, str) or _is_number(value)
+
+
+# the JSON values a config file may give for a flag of each type (None: a
+# store_true switch; an integer flag takes a number without a fraction)
+_CONFIG_KINDS = {
+    None: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()), "an integer"),
+    float: (_is_number, "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    _NUMBER: (_is_scalar, "a number or a string"),
+}
+_LIST_KIND = (lambda v: all(map(_is_scalar, v)) if isinstance(v, list) else _is_scalar(v),
+              "a string, a number or a list of them")
+
+
 _COMMON = [
     _arg("--config", type=str, default=None,
          help="JSON file of option defaults; explicit flags override it"),
     _arg("--seed", type=int, default=0, help="root seed for all randomness"),
 ]
 
-def _process_args(k_default: str):
+_TASK = dict(type=str, choices=tuple(TASK_BETAS), default="low-noise")
+
+
+def _process_args(k_type, k_default: str):
     return [
         _arg("--n", type=int, default=1000, help="number of rows"),
         _arg("--d", type=int, default=10, help="feature dimension"),
         _arg("--beta", type=float, default=None,
              help="symmetric-noise precision (std = beta**-0.5); default per task"),
-        _arg("--k", type=str, default=k_default,
+        _arg("--k", type=k_type, default=k_default,
              help="corruption rate percent (benchmark accepts a comma list)"),
-        _arg("--corruption-mode", type=str, default="paper",
+        _arg("--corruption-mode", type=str, choices=CORRUPTION_MODES, default="paper",
              help="paper | strict (strict enforces the one-sidedness margin)"),
         _arg("--corruption-scale", type=float, default=None,
              help="corruption width as a multiple of the symmetric std"),
@@ -101,13 +144,15 @@ _TRAIN_LOOP_ARGS = [
     _arg("--patience", type=int, default=20,
          help="early-stop after this many epochs without validation improvement"),
     _arg("--lr", type=float, default=1e-3, help="Adam learning rate"),
-    _arg("--reg", type=str, default="l2", help="parameter penalty: l1 | l2 | none"),
+    _arg("--reg", type=str, choices=("l1", "l2", "none"), default="l2",
+         help="parameter penalty: l1 | l2 | none"),
 ]
 
 _MODEL_ARGS = [
-    _arg("--model", type=str, default="linear", help="linear | rbf | mlp"),
+    _arg("--model", type=str, choices=("linear", "rbf", "mlp"), default="linear",
+         help="linear | rbf | mlp"),
     _arg("--sigma", type=float, default=None, help="rbf kernel width"),
-    _arg("--hidden", type=str, default="100,100,100,100",
+    _arg("--hidden", type=_INTEGERS, default="100,100,100,100",
          help="mlp hidden widths, comma separated"),
     _arg("--dropout", type=float, default=0.5, help="mlp dropout rate"),
 ]
@@ -124,9 +169,9 @@ ARG_TABLE = {
     "generate": {
         "help": "draw a synthetic dataset (optionally corrupted) and write it as CSV",
         "args": _COMMON + [
-            _arg("--task", type=str, default="low-noise", help="low-noise | high-noise"),
-            *_process_args("0"),
-            _arg("--out", type=str, default=None, help="output CSV path (required)"),
+            _arg("--task", **_TASK, help="low-noise | high-noise"),
+            *_process_args(_NUMBER, "0"),
+            _arg("--out", type=str, default=None, required=True, help="output CSV path (required)"),
         ],
     },
     "corrupt": {
@@ -134,24 +179,25 @@ ARG_TABLE = {
                 "(strict mode needs each row's symmetric noise, which a CSV cannot "
                 "supply; use generate for strict-mode data)",
         "args": _COMMON + [
-            _arg("--data", type=str, default=None, help="input CSV with a y_true column"),
-            _arg("--k", type=str, default=None, help="corruption rate percent"),
+            _arg("--data", type=str, default=None, required=True,
+                 help="input CSV with a y_true column"),
+            _arg("--k", type=_NUMBER, default=None, required=True, help="corruption rate percent"),
             _arg("--corruption-scale", type=float, default=2.0,
                  help="corruption width as a multiple of the noise std"),
             _arg("--noise-std", type=float, default=None,
                  help="symmetric-noise std; default: std of y_true"),
-            _arg("--out", type=str, default=None, help="output CSV path (required)"),
+            _arg("--out", type=str, default=None, required=True, help="output CSV path (required)"),
         ],
     },
     "train": {
         "help": "fit a model on a dataset CSV and persist it (plus history)",
         "args": _COMMON + [
-            _arg("--data", type=str, default=None, help="training CSV (required)"),
+            _arg("--data", type=str, default=None, required=True, help="training CSV (required)"),
             _arg("--val-data", type=str, default=None,
                  help="validation CSV; default carves --val-fraction out of --data"),
             _arg("--val-fraction", type=float, default=0.2,
                  help="validation share when --val-data is absent"),
-            _arg("--method", type=str, default="u2",
+            _arg("--method", type=str, choices=METHODS, default="u2",
                  help="u2 | lu | mse | mae | huber"),
             _arg("--rho", type=float, default=1.0, help="unlabeled-term weight (u2/lu)"),
             _arg("--lambda", dest="lam", type=float, default=0.0,
@@ -159,7 +205,7 @@ ARG_TABLE = {
             *_LOSS_ARGS, *_MODEL_ARGS, *_TRAIN_LOOP_ARGS,
             _arg("--no-standardize", action="store_true", default=False,
                  help="skip feature standardization (stats are stored in the model)"),
-            _arg("--out", type=str, default=None, help="model JSON path (required)"),
+            _arg("--out", type=str, default=None, required=True, help="model JSON path (required)"),
             _arg("--history", type=str, default=None,
                  help="optional per-epoch CSV (epoch,val_loss,grad_norm)"),
             _arg("--timing", action="store_true", default=False,
@@ -169,28 +215,28 @@ ARG_TABLE = {
     "predict": {
         "help": "apply a saved model to a CSV of features",
         "args": _COMMON + [
-            _arg("--data", type=str, default=None, help="input CSV (required)"),
-            _arg("--model-file", type=str, default=None, help="model JSON (required)"),
+            _arg("--data", type=str, default=None, required=True, help="input CSV (required)"),
+            _arg("--model-file", type=str, default=None, required=True,
+                 help="model JSON (required)"),
             _arg("--out", type=str, default=None, help="output CSV; default stdout"),
         ],
     },
     "benchmark": {
         "help": "corruption-robustness benchmark over methods and K values",
         "args": _COMMON + [
-            _arg("--task", type=str, default="low-noise",
-                 help="low-noise | high-noise (ignored when --data is given)"),
+            _arg("--task", **_TASK, help="low-noise | high-noise (ignored when --data is given)"),
             _arg("--data", type=str, default=None, help="external CSV task"),
-            _arg("--methods", type=str, default="u2,mse",
+            _arg("--methods", type=_NAMES, default="u2,mse",
                  help="comma list from u2,lu,mse,mae,huber"),
-            *_process_args("50"),
+            *_process_args(_NUMBERS, "50"),
             _arg("--folds", type=int, default=5, help="cross-validation folds"),
             _arg("--val-fraction", type=float, default=0.2, help="validation share"),
             *_BENCHMARK_TRAIN_ARGS,
-            _arg("--rho-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
+            _arg("--rho-grid", type=_NUMBERS, default="1e-3,1e-2,1e-1,1e0",
                  help="rho candidates, comma separated"),
-            _arg("--lam-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
+            _arg("--lam-grid", type=_NUMBERS, default="1e-3,1e-2,1e-1,1e0",
                  help="lambda candidates, comma separated"),
-            _arg("--sigma-grid", type=str, default="1e-3,1e-2,1e-1,1e0",
+            _arg("--sigma-grid", type=_NUMBERS, default="1e-3,1e-2,1e-1,1e0",
                  help="rbf width candidates, comma separated"),
             _arg("--out", type=str, default=None, help="report JSON path; default stdout"),
             _arg("--table", type=str, default=None, help="optional aligned-text table path"),
@@ -201,10 +247,10 @@ ARG_TABLE = {
     "diagnose": {
         "help": "bias-floor diagnostics (eta, xi, delta) for a model on a synthetic task",
         "args": _COMMON + [
-            _arg("--task", type=str, default="low-noise", help="low-noise | high-noise"),
+            _arg("--task", **_TASK, help="low-noise | high-noise"),
             _arg("--d", type=int, default=10, help="feature dimension"),
             _arg("--beta", type=float, default=None, help="noise precision; default per task"),
-            _arg("--k", type=str, default="50", help="corruption rate percent"),
+            _arg("--k", type=_NUMBER, default="50", help="corruption rate percent"),
             _arg("--n-mc", type=int, default=100000, help="Monte-Carlo draws"),
             _arg("--model-file", type=str, default=None,
                  help="model JSON; default is the oracle-weight linear model"),
@@ -218,8 +264,10 @@ ARG_TABLE = {
     "features": {
         "help": "sliding-window summary features over a time-series CSV",
         "args": _COMMON + [
-            _arg("--data", type=str, default=None, help="numeric CSV, rows = time steps"),
-            _arg("--window", type=int, default=None, help="window length (required)"),
+            _arg("--data", type=str, default=None, required=True,
+                 help="numeric CSV, rows = time steps"),
+            _arg("--window", type=int, default=None, required=True,
+                 help="window length (required)"),
             _arg("--stride", type=int, default=1, help="window stride"),
             _arg("--out", type=str, default=None, help="output CSV; default stdout"),
         ],
@@ -236,9 +284,26 @@ def _build_parser() -> _Parser:
         sub = subs.add_parser(name, help=info["help"], description=info["help"],
                               allow_abbrev=False)
         for flags, kwargs in info["args"]:
+            # argparse would check choices and required flags on the command line
+            # alone; _resolve_options checks them once config values are merged
+            kwargs = {k: v for k, v in kwargs.items() if k not in ("choices", "required")}
             sub.add_argument(*flags, **{**kwargs, "default": argparse.SUPPRESS,
                                         "help": f"{kwargs['help']} (default: {kwargs['default']})"})
     return parser
+
+
+def _from_config(key: str, value, kwargs: dict):
+    """A config value checked against its flag's kind, then parsed by its type."""
+    parse = kwargs.get("type")
+    accepts, what = _CONFIG_KINDS.get(parse, _LIST_KIND)
+    if not accepts(value):
+        raise CliError(f"config key {key!r} must be {what}, got {value!r:.60}")
+    if isinstance(value, list):
+        value = ",".join(map(str, value))
+    try:
+        return parse(value) if parse else value
+    except (ValueError, OverflowError):
+        raise CliError(f"config key {key!r}: invalid {parse.__name__} value: {value!r:.60}")
 
 
 def _resolve_options(argv: list[str]) -> tuple[str, dict]:
@@ -247,18 +312,14 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
     command = explicit.pop("command", None)
     if command is None:
         raise CliError("a subcommand is required (see --help)")
-    defaults, number_types = {}, {}
-    for flags, kwargs in ARG_TABLE[command]["args"]:
-        dest = kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_")
-        defaults[dest] = kwargs["default"]
-        if kwargs.get("type") in (int, float):
-            number_types[dest] = kwargs["type"]
-    opts = dict(defaults)
+    table = {kwargs.get("dest") or flags[0].lstrip("-").replace("-", "_"): (flags[0], kwargs)
+             for flags, kwargs in ARG_TABLE[command]["args"]}
+    opts = {key: kwargs["type"](kwargs["default"]) if isinstance(kwargs["default"], str)
+            else kwargs["default"] for key, (_, kwargs) in table.items()}
     config = {}
-    config_path = explicit.get("config", None)
-    if config_path:
+    if explicit.get("config"):
         try:
-            with open(config_path, "r", encoding="utf-8") as fh:
+            with open(explicit["config"], "r", encoding="utf-8") as fh:
                 config = json.load(fh)
         except OSError as exc:
             raise CliError(f"cannot read config file: {exc}")
@@ -266,19 +327,17 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
             raise CliError(f"config file is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = sorted(set(config) - set(defaults))
+        unknown = sorted(set(config) - set(table))
         if unknown:
             raise CliError(f"unknown config keys for '{command}': {', '.join(unknown)}")
-        for key in sorted(set(number_types) & set(config)):
-            # a flag's value must be what its type would parse: a JSON
-            # number, and for an integer flag one without a fraction
-            value, is_int = config[key], number_types[key] is int
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or (is_int and isinstance(value, float) and not value.is_integer())):
-                what = "an integer" if is_int else "a number"
-                raise CliError(f"config key {key!r} must be {what}, got {value!r:.60}")
-        opts.update(config)
+        opts.update((key, _from_config(key, config[key], table[key][1])) for key in sorted(config))
     opts.update(explicit)
+    for key, (flag, kwargs) in table.items():
+        if kwargs.get("required") and opts[key] in (None, ""):
+            raise CliError(f"{flag} is required")
+        choices = kwargs.get("choices")
+        if choices and opts[key] not in choices:
+            raise CliError(f"{flag} must be one of {choices}, got {opts[key]!r}")
     _reject_ignored(command, opts, set(config) | set(explicit))
     return command, opts
 
@@ -287,13 +346,13 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
     """Fail on a flag (or config key) that this run would silently ignore."""
     ignored = {}
     if command == "benchmark":
-        if opts.get("data"):
+        if opts["data"]:
             why = "with --data (the CSV fixes the rows, labels and corruption)"
-            ignored = {flags[0]: why for flags, _ in _process_args("50")}
-        methods = _str_list(opts["methods"], "--methods")
+            ignored = {flags[0]: why for flags, _ in _process_args(_NUMBERS, "50")}
+        methods = opts["methods"]
         if "huber" not in methods:
             ignored["--huber-delta"] = f"with --methods {','.join(methods)} (only huber has a width)"
-    elif command == "train" and opts["method"] in METHODS:
+    elif command == "train":
         method = opts["method"]
         if method not in DEFAULT_SPECS:
             why = f"with --method {method} (a baseline trains one loss on every label)"
@@ -305,59 +364,8 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
             raise CliError(f"{flag} has no effect {why}")
 
 
-# ---------------------------------------------------------------------------
-# small option coercers (config values may be strings, lists or scalars)
-# ---------------------------------------------------------------------------
-
-def _float_list(value, what: str) -> list[float]:
-    if value is None:
-        raise CliError(f"{what} is required")
-    if isinstance(value, (int, float)):
-        return [float(value)]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    try:
-        return [float(part) for part in str(value).split(",") if part.strip() != ""]
-    except ValueError:
-        raise CliError(f"cannot parse {what} from {value!r}")
-
-
-def _int_list(value, what: str) -> list[int]:
-    return [int(v) for v in _float_list(value, what)]
-
-
-def _str_list(value, what: str) -> list[str]:
-    if value is None:
-        raise CliError(f"{what} is required")
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [part.strip() for part in str(value).split(",") if part.strip() != ""]
-
-
-def _require(opts: dict, key: str, flag: str):
-    if opts.get(key) in (None, ""):
-        raise CliError(f"{flag} is required")
-    return opts[key]
-
-
-def _one_float(value, what: str) -> float:
-    values = _float_list(value, what)
-    if len(values) != 1:
-        raise CliError(f"{what} takes a single value here, got {values}")
-    return values[0]
-
-
-def _choice(value, what: str, allowed) -> str:
-    value = str(value)
-    if value not in allowed:
-        raise CliError(f"{what} must be one of {tuple(allowed)}, got {value!r}")
-    return value
-
-
 def _task_beta(opts: dict) -> float:
-    task = _choice(opts["task"], "--task", TASK_BETAS)
-    beta = opts.get("beta")
-    return float(beta) if beta is not None else TASK_BETAS[task]
+    return opts["beta"] if opts["beta"] is not None else TASK_BETAS[opts["task"]]
 
 
 def _write_or_stdout(text: str, path: str | None) -> None:
@@ -376,32 +384,25 @@ def _info(message: str) -> None:
 # ---------------------------------------------------------------------------
 
 def _run_generate(opts: dict) -> int:
-    out = _require(opts, "out", "--out")
-    mode = _choice(opts["corruption_mode"], "--corruption-mode", CORRUPTION_MODES)
-    k = _one_float(opts["k"], "--k")
-    scale = opts["corruption_scale"]
+    seed, k, scale = opts["seed"], opts["k"], opts["corruption_scale"]
     process = SyntheticProcess.draw(
-        int(opts["d"]), derive_seed(int(opts["seed"]), "cli-process"),
-        beta=_task_beta(opts), k_percent=k, mode=mode,
-        corruption_scale=float(scale) if scale is not None else 2.0,
+        opts["d"], derive_seed(seed, "cli-process"),
+        beta=_task_beta(opts), k_percent=k, mode=opts["corruption_mode"],
+        corruption_scale=scale if scale is not None else 2.0,
     )
-    ds = generate_uncorrupted(process, int(opts["n"]), derive_seed(int(opts["seed"]), "cli-generate"))
+    ds = generate_uncorrupted(process, opts["n"], derive_seed(seed, "cli-generate"))
     if k > 0:
-        ds = corrupt(ds, process, derive_seed(int(opts["seed"]), "cli-corrupt"))
-    ds.to_csv(out)
-    _info(f"wrote {len(ds)} rows to {out}")
+        ds = corrupt(ds, process, derive_seed(seed, "cli-corrupt"))
+    ds.to_csv(opts["out"])
+    _info(f"wrote {len(ds)} rows to {opts['out']}")
     return 0
 
 
 def _run_corrupt(opts: dict) -> int:
-    data = _require(opts, "data", "--data")
-    out = _require(opts, "out", "--out")
-    k = _one_float(_require(opts, "k", "--k"), "--k")
-    ds = Dataset.from_csv(data)
+    ds = Dataset.from_csv(opts["data"])
     if ds.ys_true is None:
         raise CliError("corrupt needs a y_true column in the input CSV")
-    noise_std = opts.get("noise_std")
-    noise_std = float(noise_std) if noise_std is not None else float(np.std(ds.ys_true))
+    noise_std = opts["noise_std"] if opts["noise_std"] is not None else float(np.std(ds.ys_true))
     if noise_std <= 0:
         raise CliError("noise std must be positive (constant y_true needs --noise-std)")
     try:
@@ -412,11 +413,11 @@ def _run_corrupt(opts: dict) -> int:
         raise CliError(f"noise std {noise_std:g} has no finite positive precision noise_std**-2")
     process = SyntheticProcess(
         dim=ds.dim, weights=np.zeros(ds.dim), beta=beta,
-        k_percent=k, mode="paper", corruption_scale=float(opts["corruption_scale"]),
+        k_percent=opts["k"], mode="paper", corruption_scale=opts["corruption_scale"],
     )
-    result = corrupt(ds, process, derive_seed(int(opts["seed"]), "cli-corrupt"))
-    result.to_csv(out)
-    _info(f"corrupted {int(result.corrupted.sum())} of {len(result)} rows; wrote {out}")
+    result = corrupt(ds, process, derive_seed(opts["seed"], "cli-corrupt"))
+    result.to_csv(opts["out"])
+    _info(f"corrupted {int(result.corrupted.sum())} of {len(result)} rows; wrote {opts['out']}")
     return 0
 
 
@@ -429,41 +430,46 @@ def _loss_spec_for(opts: dict, method: str) -> LossSpec | None:
 
 
 def _arch_from(opts: dict) -> ArchSpec:
-    kind = _choice(opts["model"], "--model", ("linear", "rbf", "mlp"))
-    if kind == "rbf":
-        if opts.get("sigma") is None:
+    if opts["model"] == "rbf":
+        if opts["sigma"] is None:
             raise CliError("--model rbf needs --sigma")
-        return ArchSpec("rbf", sigma=float(opts["sigma"]))
-    if kind == "mlp":
-        hidden = tuple(_int_list(opts["hidden"], "--hidden"))
-        return ArchSpec("mlp", hidden=hidden, dropout=float(opts["dropout"]))
+        return ArchSpec("rbf", sigma=opts["sigma"])
+    if opts["model"] == "mlp":
+        return ArchSpec("mlp", hidden=opts["hidden"], dropout=opts["dropout"])
     return ArchSpec("linear")
 
 
 def _reg_from(opts: dict) -> str | None:
-    reg = _choice(str(opts["reg"]), "--reg", ("l1", "l2", "none"))
-    return None if reg == "none" else reg
+    return None if opts["reg"] == "none" else opts["reg"]
+
+
+def _load_raw_input_model(path: str):
+    """A saved model whose features() first applies the standardization train stored."""
+    model, payload = load_model(path)
+    if payload.get("standardized_features"):
+        stats = FeatureStats(*(np.asarray(payload[key], dtype=float)
+                               for key in ("feature_mean", "feature_std")))
+        fitted_features = model.features
+        model.features = lambda X: fitted_features(stats.apply(X))
+    return model
 
 
 def _run_train(opts: dict) -> int:
-    data_path = _require(opts, "data", "--data")
-    out = _require(opts, "out", "--out")
-    method = _choice(opts["method"], "--method", METHODS)
-    seed = int(opts["seed"])
-    full = Dataset.from_csv(data_path)
+    method, seed, out = opts["method"], opts["seed"], opts["out"]
+    full = Dataset.from_csv(opts["data"])
     if opts.get("val_data"):
         train_ds, val_ds = full, Dataset.from_csv(opts["val_data"])
         if val_ds.dim != full.dim:
             raise CliError("validation data feature count does not match training data")
     else:
-        vf = float(opts["val_fraction"])
+        vf = opts["val_fraction"]
         if not (0.0 < vf < 1.0):
             raise CliError("--val-fraction must lie in (0, 1)")
         val_idx, train_idx = carve_validation(np.arange(len(full)), vf,
                                               derive_rng(seed, "cli-val-split"))
         val_ds, train_ds = full.subset(val_idx), full.subset(train_idx)
 
-    do_standardize = not bool(opts.get("no_standardize"))
+    do_standardize = not opts["no_standardize"]
     if do_standardize:
         train_ds, (val_ds,), stats = standardize(train_ds, (val_ds,))
         stats_extra = {"feature_mean": stats.mean.tolist(), "feature_std": stats.std.tolist()}
@@ -472,13 +478,10 @@ def _run_train(opts: dict) -> int:
 
     arch = _arch_from(opts)
     cfg = TrainConfig(
-        method,
-        spec=_loss_spec_for(opts, method),
-        rho=float(opts["rho"]), lam=float(opts["lam"]),
-        huber_delta=float(opts["huber_delta"]), reg=_reg_from(opts),
-        lr=float(opts["lr"]),
-        batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),
-        patience=int(opts["patience"]), seed=derive_seed(seed, "cli-train"),
+        method, spec=_loss_spec_for(opts, method), rho=opts["rho"], lam=opts["lam"],
+        huber_delta=opts["huber_delta"], reg=_reg_from(opts), lr=opts["lr"],
+        batch_size=opts["batch_size"], max_epochs=opts["max_epochs"],
+        patience=opts["patience"], seed=derive_seed(seed, "cli-train"),
     )
     model = init_model(arch, train_ds.dim, derive_seed(seed, "cli-init"), rbf_bases=train_ds.xs)
     result = train(model, train_ds, val_ds, cfg)
@@ -506,9 +509,8 @@ def _run_train(opts: dict) -> int:
 
 
 def _run_predict(opts: dict) -> int:
-    data_path = _require(opts, "data", "--data")
-    model_path = _require(opts, "model_file", "--model-file")
-    model, payload = load_model(model_path)
+    data_path = opts["data"]
+    model = _load_raw_input_model(opts["model_file"])
     # a dataset CSV (its header names y_prime) or a plain numeric CSV
     with open(data_path, "r", encoding="utf-8") as fh:
         dataset_format = "y_prime" in [c.strip() for c in fh.readline().split(",")]
@@ -518,9 +520,6 @@ def _run_predict(opts: dict) -> int:
             f"feature count mismatch: data has {xs.shape[1]} features, "
             f"model expects {model.input_dim}"
         )
-    if payload.get("standardized_features"):
-        xs = FeatureStats(np.asarray(payload["feature_mean"], dtype=float),
-                          np.asarray(payload["feature_std"], dtype=float)).apply(xs)
     preds = predict(model, xs)
     _write_or_stdout(table_text(["index", "y_pred"], enumerate(preds)), opts.get("out"))
     if opts.get("out"):
@@ -529,36 +528,22 @@ def _run_predict(opts: dict) -> int:
 
 
 def _run_benchmark(opts: dict) -> int:
-    methods = _str_list(opts["methods"], "--methods")
-    if opts.get("data"):
-        task = BenchmarkTask.from_csv(opts["data"])
-        k_list: list[float] = [0.0]
+    if opts["data"]:
+        task, k_list = BenchmarkTask.from_csv(opts["data"]), [0.0]
     else:
-        task = BenchmarkTask.named(
-            _choice(opts["task"], "--task", TASK_BETAS), n=int(opts["n"]), d=int(opts["d"])
-        )
-        if opts.get("beta") is not None:
-            task = replace(task, beta=float(opts["beta"]))
-        if opts.get("corruption_scale") is not None:
-            task = replace(task, corruption_scale=float(opts["corruption_scale"]))
-        task = replace(task, corruption_mode=_choice(
-            opts["corruption_mode"], "--corruption-mode", CORRUPTION_MODES))
-        k_list = _float_list(opts["k"], "--k")
-    grid = GridSpec(
-        rhos=tuple(_float_list(opts["rho_grid"], "--rho-grid")),
-        lams=tuple(_float_list(opts["lam_grid"], "--lam-grid")),
-        sigmas=tuple(_float_list(opts["sigma_grid"], "--sigma-grid")),
-    )
+        given = {key: opts[key] for key in ("beta", "corruption_scale") if opts[key] is not None}
+        task = replace(BenchmarkTask.named(opts["task"], n=opts["n"], d=opts["d"]),
+                       corruption_mode=opts["corruption_mode"], **given)
+        k_list = opts["k"]
+    grid = GridSpec(rhos=opts["rho_grid"], lams=opts["lam_grid"], sigmas=opts["sigma_grid"])
     # grid_search gives each rbf cell its own width from --sigma-grid; the
     # first value only satisfies ArchSpec
     arch = _arch_from({**opts, "sigma": grid.sigmas[0]})
     report = run_benchmark(
-        task, methods, k_list,
-        folds=int(opts["folds"]), seeds=int(opts["seed"]),
-        val_fraction=float(opts["val_fraction"]), grid=grid, arch=arch,
-        batch_size=int(opts["batch_size"]), max_epochs=int(opts["max_epochs"]),
-        patience=int(opts["patience"]), huber_delta=float(opts["huber_delta"]),
-        reg=_reg_from(opts),
+        task, opts["methods"], k_list, folds=opts["folds"], seeds=opts["seed"],
+        val_fraction=opts["val_fraction"], grid=grid, arch=arch, batch_size=opts["batch_size"],
+        max_epochs=opts["max_epochs"], patience=opts["patience"],
+        huber_delta=opts["huber_delta"], reg=_reg_from(opts),
     )
     _write_or_stdout(report.to_json(), opts.get("out"))
     if opts.get("table"):
@@ -578,44 +563,39 @@ def _run_benchmark(opts: dict) -> int:
 
 
 def _run_diagnose(opts: dict) -> int:
-    seed = int(opts["seed"])
-    k = _one_float(opts["k"], "--k")
+    # the process generate --seed S --d D draws from
+    seed = opts["seed"]
     process = SyntheticProcess.draw(
-        int(opts["d"]), derive_seed(seed, "cli-diagnose-process"),
-        beta=_task_beta(opts), k_percent=k,
+        opts["d"], derive_seed(seed, "cli-process"), beta=_task_beta(opts), k_percent=opts["k"],
     )
-    if opts.get("model_file"):
-        model, _payload = load_model(opts["model_file"])
+    if opts["model_file"]:
+        model = _load_raw_input_model(opts["model_file"])
         if model.input_dim != process.dim:
             raise CliError("model feature count does not match --d")
     else:
-        theta = np.concatenate([process.weights, [float(opts["intercept_shift"])]])
+        theta = np.concatenate([process.weights, [opts["intercept_shift"]]])
         model = LinearModel(process.dim, theta)
-    spec = LossSpec.parse(str(opts["upper_loss"]), str(opts["lower_loss"]))
-    diag = estimate_eta_xi_delta(process, model, spec, int(opts["n_mc"]),
+    spec = LossSpec.parse(opts["upper_loss"], opts["lower_loss"])
+    diag = estimate_eta_xi_delta(process, model, spec, opts["n_mc"],
                                  derive_seed(seed, "cli-diagnose-mc"))
     payload = {
-        "task": str(opts["task"]), "d": int(opts["d"]), "beta": process.beta,
-        "k_percent": k, "n_mc": diag.n_rows, "n_upper": diag.n_upper,
+        "task": opts["task"], "d": opts["d"], "beta": process.beta,
+        "k_percent": opts["k"], "n_mc": diag.n_rows, "n_upper": diag.n_upper,
         "eta": diag.eta, "xi": diag.xi, "delta": diag.delta,
         "bias_lower_bound": diag.bound,
-        "upper_loss": str(opts["upper_loss"]), "lower_loss": str(opts["lower_loss"]),
+        "upper_loss": opts["upper_loss"], "lower_loss": opts["lower_loss"],
     }
     _write_or_stdout(json.dumps(payload, indent=1, sort_keys=True) + "\n", opts.get("out"))
     return 0
 
 
 def _run_features(opts: dict) -> int:
-    data_path = _require(opts, "data", "--data")
-    window = opts.get("window")
-    if window is None:
-        raise CliError("--window is required")
-    window, stride = int(window), int(opts["stride"])
+    data_path = opts["data"]
     try:
         _, series = read_table(data_path)
     except OSError as exc:
         raise CliError(f"cannot read {data_path}: {exc}")
-    feats = window_features(series, window, stride)
+    feats = window_features(series, opts["window"], opts["stride"])
     n_channels = feats.shape[1] // len(WINDOW_STATS)
     header = [f"ch{c}_{stat}" for c in range(n_channels) for stat in WINDOW_STATS]
     _write_or_stdout(table_text(header, feats), opts.get("out"))

@@ -19,12 +19,14 @@ from u2reg import (
     estimate_eta_xi_delta,
     init_model,
     load_model,
+    predict,
     run_benchmark,
     standardize,
     train,
 )
 from u2reg.cli import ARG_TABLE, run_cli
-from u2reg.rngutil import derive_seed
+from u2reg.data import FeatureStats
+from u2reg.rngutil import derive_rng, derive_seed
 
 
 def read_bytes(path):
@@ -460,6 +462,47 @@ def test_config_integer_keys_reject_fractions_and_booleans(tmp_path, capsys):
     assert len(Dataset.from_csv(out)) == 50
 
 
+def test_config_values_must_be_of_their_flag_kind(tmp_path, capsys):
+    cfg, data = str(tmp_path / "cfg.json"), str(tmp_path / "d.csv")
+    assert run("generate", "--n", "40", "--d", "2", "--out", data) == 0
+    out = str(tmp_path / "out")
+    generate, train_ = ["generate"], ["train", "--data", data, "--max-epochs", "1"]
+    for argv, config, what in (
+        (generate, {"out": 5}, "config key 'out' must be a string"),
+        (["train", "--max-epochs", "1"], {"data": ["d.csv"]}, "config key 'data' must be a string"),
+        (train_, {"no_standardize": "false"}, "config key 'no_standardize' must be a boolean"),
+        (train_, {"timing": 0}, "config key 'timing' must be a boolean"),
+        (generate, {"task": ["low-noise"]}, "config key 'task' must be a string"),
+        (train_ + ["--model", "mlp"], {"hidden": [8.5, 4]},
+         "config key 'hidden': invalid integer list value: '8.5,4'"),
+    ):
+        with open(cfg, "w") as fh:
+            json.dump(config, fh)
+        capsys.readouterr()
+        assert run(*argv, "--config", cfg, "--out", out) == 1, config
+        assert what in capsys.readouterr().err
+        assert not os.path.exists(out)
+    assert run(*train_, "--model", "mlp", "--hidden", "8.5,4", "--out", out) == 1
+    assert "argument --hidden: invalid integer list value: '8.5,4'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_benchmark_config_lists_match_comma_flags(tmp_path, capsys):
+    cfg, a, b = (str(tmp_path / name) for name in ("cfg.json", "a.json", "b.json"))
+    common = ["benchmark", "--n", "60", "--d", "2", "--folds", "2", "--max-epochs", "2",
+              "--model", "mlp", "--rho-grid", "1", "--dropout", "0"]
+    with open(cfg, "w") as fh:
+        json.dump({"k": [25, 50], "methods": ["u2", "mse"], "lam_grid": [0.01, 0.1],
+                   "hidden": [3, 2]}, fh)
+    assert run(*common, "--config", cfg, "--out", a) == 0
+    assert run(*common, "--k", "25,50", "--methods", "u2,mse", "--lam-grid", "0.01,0.1",
+               "--hidden", "3,2", "--out", b) == 0
+    capsys.readouterr()
+    assert read_bytes(a) == read_bytes(b)
+    report = json.loads(read_bytes(a))
+    assert (report["k_list"], report["methods"]) == ([25.0, 50.0], ["u2", "mse"])
+
+
 # ---------------------------------------------------------------------------
 # benchmark
 # ---------------------------------------------------------------------------
@@ -620,7 +663,7 @@ def test_diagnose_matches_the_library_computation(tmp_path, capsys):
     payload = json.loads(open(out).read())
 
     process = SyntheticProcess.draw(
-        4, derive_seed(3, "cli-diagnose-process"), beta=1.0, k_percent=50.0
+        4, derive_seed(3, "cli-process"), beta=1.0, k_percent=50.0
     )
     model = LinearModel(4, np.concatenate([process.weights, [0.0]]))
     diag = estimate_eta_xi_delta(
@@ -653,13 +696,19 @@ def test_diagnose_scores_a_model_file_and_rejects_a_width_mismatch(pipeline, cap
     assert run("diagnose", "--d", "3", "--k", "50", "--n-mc", "2000", "--seed", "2",
                "--model-file", model_path, "--out", out) == 0
     capsys.readouterr()
-    process = SyntheticProcess.draw(3, derive_seed(2, "cli-diagnose-process"), beta=1.0,
-                                    k_percent=50.0)
-    diag = estimate_eta_xi_delta(process, load_model(model_path)[0],
-                                 LossSpec.parse("absolute", "absolute"), 2000,
+    # the process generate --seed 2 --d 3 draws from, fed to the model in the
+    # standardized coordinates train fitted it in
+    process = SyntheticProcess.draw(3, derive_seed(2, "cli-process"), beta=1.0, k_percent=50.0)
+    model, saved = load_model(model_path)
+    stats = FeatureStats(np.asarray(saved["feature_mean"]), np.asarray(saved["feature_std"]))
+    fitted_features = model.features
+    model.features = lambda X: fitted_features(stats.apply(X))
+    diag = estimate_eta_xi_delta(process, model, LossSpec.parse("absolute", "absolute"), 2000,
                                  derive_seed(2, "cli-diagnose-mc"))
     payload = json.loads(open(out).read())
     assert (payload["eta"], payload["delta"]) == (diag.eta, diag.delta)
+    X, y = process.draw_clean(2000, derive_rng(derive_seed(2, "cli-diagnose-mc"), "eta-xi-delta"))
+    assert payload["eta"] == np.mean(predict(load_model(model_path)[0], stats.apply(X)) <= y)
 
     rejected = str(tmp_path / "rejected.json")
     assert run("diagnose", "--d", "4", "--n-mc", "2000", "--model-file", model_path,
