@@ -6,7 +6,7 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config (one benchmark takes its lists as JSON lists),
-stdout output, each subcommand's --help (at 100 columns) and eight rejected
+stdout output, each subcommand's --help (at 100 columns) and ten rejected
 invocations (names starting with "reject-", which exit 1). The benchmark runs also reach the training engine's early
 stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
 grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
@@ -97,6 +97,9 @@ RUNS = [
                                   "--out", "reject-mlp.json"]),
     ("reject-benchmark-batch-size-zero", ["benchmark", "--n", "60", "--d", "2", "--folds", "2",
                                           "--batch-size", "0", "--out", "reject-bench.json"]),
+    ("reject-config-names-config", ["generate", "--config", "names-config.json",
+                                    "--out", "reject-nested.csv"]),
+    ("reject-train-timing-without-history", [*TRAIN, "--timing", "--out", "reject-timing.json"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {
@@ -107,6 +110,7 @@ INPUTS = {
                    "hidden": [6, 4]},
     "path-not-string.json": {"out": 5},
     "flag-not-boolean.json": {"no_standardize": "false"},
+    "names-config.json": {"config": "missing.json", "n": 20},
 }
 
 

@@ -327,6 +327,8 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
             raise CliError(f"config file is not valid JSON: {exc}")
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
+        if "config" in config:
+            raise CliError("config key 'config' has no effect (a config file names no other)")
         unknown = sorted(set(config) - set(table))
         if unknown:
             raise CliError(f"unknown config keys for '{command}': {', '.join(unknown)}")
@@ -359,6 +361,18 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
             ignored = dict.fromkeys(("--upper-loss", "--lower-loss", "--rho"), why)
         if method != "huber":
             ignored["--huber-delta"] = f"with --method {method} (only huber has a width)"
+        model = opts["model"]
+        if model != "rbf":
+            ignored["--sigma"] = f"with --model {model} (only rbf has a width)"
+        if model != "mlp":
+            why = f"with --model {model} (only mlp has hidden layers)"
+            ignored.update(dict.fromkeys(("--hidden", "--dropout"), why))
+        if opts["val_data"]:
+            ignored["--val-fraction"] = "with --val-data (that file holds the validation rows)"
+        if not opts["history"]:
+            ignored["--timing"] = "without --history (the seconds go in the history CSV)"
+    elif command == "diagnose" and opts["model_file"]:
+        ignored["--intercept-shift"] = "with --model-file (it shifts only the default model)"
     for flag, why in ignored.items():
         if flag.lstrip("-").replace("-", "_") in given:
             raise CliError(f"{flag} has no effect {why}")
@@ -512,9 +526,9 @@ def _run_predict(opts: dict) -> int:
     data_path = opts["data"]
     model = _load_raw_input_model(opts["model_file"])
     # a dataset CSV (its header names y_prime) or a plain numeric CSV
-    with open(data_path, "r", encoding="utf-8") as fh:
-        dataset_format = "y_prime" in [c.strip() for c in fh.readline().split(",")]
-    xs = Dataset.from_csv(data_path).xs if dataset_format else read_table(data_path)[1]
+    header, xs = read_table(data_path)
+    if header and "y_prime" in header:
+        xs = Dataset.from_table(header, xs).xs
     if xs.shape[1] != model.input_dim:
         raise CliError(
             f"feature count mismatch: data has {xs.shape[1]} features, "

@@ -146,7 +146,11 @@ class Dataset:
 
     @staticmethod
     def from_csv(path: str) -> "Dataset":
-        header, data = read_table(path)
+        return Dataset.from_table(*read_table(path))
+
+    @staticmethod
+    def from_table(header: list[str] | None, data: np.ndarray) -> "Dataset":
+        """The dataset in read_table's (header, rows) of a dataset CSV."""
         cols = header or []
         n_x = sum(c.startswith("x") for c in cols)
         if n_x == 0 or cols[:n_x] != [f"x{i}" for i in range(n_x)]:

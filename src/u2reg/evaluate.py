@@ -20,8 +20,8 @@ import numpy as np
 
 from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv,
                    standardize, table_text)
-from .gradients import BiasDiagnostics, bias_lower_bound, partition_upper
-from .losses import LossSpec, dloss_df
+from .gradients import BiasDiagnostics, bias_lower_bound, clean_pass
+from .losses import LossSpec
 from .models import ArchSpec, init_model, predict
 from .optim import TrainConfig, TrainResult, train_cells
 from .rngutil import derive_rng, derive_seed
@@ -516,17 +516,7 @@ def estimate_eta_xi_delta(
     """
     if n_mc < 1000:
         raise ValueError("need at least 1000 Monte-Carlo rows")
-    rng = derive_rng(seed, "eta-xi-delta")
-    chunk = 65536
-    n_up, g_up, g_lo = 0, 0.0, 0.0
-    for start in range(0, n_mc, chunk):
-        X, y = process.draw_clean(min(chunk, n_mc - start), rng)
-        preds, cache = model.forward(model.features(X))
-        up = partition_upper(preds, y)
-        coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
-        n_up += int(up.sum())
-        g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
-        g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
+    n_up, g_up, g_lo, _ = clean_pass(model, process, spec, n_mc, derive_rng(seed, "eta-xi-delta"))
     if n_up == 0 or n_up == n_mc:
         raise ValueError(
             "every row fell on one side of the partition; the side gap "

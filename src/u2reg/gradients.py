@@ -42,6 +42,7 @@ from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_c
 from .rngutil import derive_rng
 
 REGULARIZERS = ("l1", "l2")
+MC_CHUNK = 65536  # clean Monte-Carlo rows drawn per draw_clean call
 
 
 def reg_grad(reg: str | None, theta: np.ndarray) -> np.ndarray:
@@ -144,7 +145,7 @@ def block_gradient(model, feats, ys, loss, rho, lam, reg, rng, mirror=False) -> 
 
 
 # ---------------------------------------------------------------------------
-# estimators and oracles over whole datasets (no regularizer, no dropout)
+# dataset estimator; one chunked clean Monte-Carlo pass (no regularizer, no dropout)
 # ---------------------------------------------------------------------------
 
 def u2_dataset_gradient_estimate(
@@ -202,28 +203,34 @@ def population_gradient_oracle(
         raise ValueError("need at least two Monte-Carlo rows")
     if with_se and not hasattr(model, "param_jacobian_batch"):
         raise ValueError(f"with_se needs per-row Jacobians, which a {model.kind} model lacks")
-    X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
-    preds, cache = model.forward(model.features(X))
-    up = partition_upper(preds, y)
-    coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
-    grad = model.backward_weighted(cache, coeff / n_rows)
+    _, g_up, g_lo, sq = clean_pass(model, process, spec, n_rows,
+                                   derive_rng(seed, "population-oracle"), with_se)
+    grad = (g_up + g_lo) / n_rows
     if not with_se:
         return grad
-    se = _per_coordinate_se(model, X, coeff, grad)
-    return grad, se
+    return grad, np.sqrt(np.maximum(sq / n_rows - grad * grad, 0.0) / n_rows)
 
 
-def _per_coordinate_se(model, X, coeff, mean_grad) -> np.ndarray:
-    """Standard error of the mean per-row gradient, coordinatewise."""
-    n_rows = coeff.size
-    sq = np.zeros_like(mean_grad)
-    chunk = 65536
-    for start in range(0, n_rows, chunk):
-        stop = min(start + chunk, n_rows)
-        G = coeff[start:stop, None] * model.param_jacobian_batch(X[start:stop])
-        sq += (G * G).sum(axis=0)
-    var = sq / n_rows - mean_grad * mean_grad
-    return np.sqrt(np.maximum(var, 0.0) / n_rows)
+def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool = False):
+    """Two-sided loss-gradient sums over n_rows clean draws, MC_CHUNK rows per draw.
+
+    Returns (n_up, g_up, g_lo, sq): the count of rows with f <= y, the summed
+    gradient on that side and on the other, and with with_sq the coordinatewise
+    sum of squared per-row gradients (needs param_jacobian_batch; else None).
+    """
+    n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0 if with_sq else None
+    for start in range(0, n_rows, MC_CHUNK):
+        X, y = process.draw_clean(min(MC_CHUNK, n_rows - start), rng)
+        preds, cache = model.forward(model.features(X))
+        up = partition_upper(preds, y)
+        coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
+        n_up += int(up.sum())
+        g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
+        g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
+        if with_sq:
+            G = coeff[:, None] * model.param_jacobian_batch(X)
+            sq = sq + (G * G).sum(axis=0)
+    return n_up, g_up, g_lo, sq
 
 
 # ---------------------------------------------------------------------------

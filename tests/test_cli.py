@@ -269,6 +269,33 @@ def test_train_rejects_ignored_rho_and_huber_delta(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_train_rejects_ignored_model_validation_and_timing_flags(pipeline, capsys):
+    tmp_path, data, cor = pipeline
+    out = str(tmp_path / "m.json")
+    small = ["train", "--data", cor, "--max-epochs", "1", "--out", out]
+    for model, flag, value, why in (
+        ("linear", "--sigma", "1.5", "(only rbf has a width)"),
+        ("mlp", "--sigma", "1.5", "(only rbf has a width)"),
+        ("linear", "--hidden", "8,4", "(only mlp has hidden layers)"),
+        ("rbf", "--dropout", "0.25", "(only mlp has hidden layers)"),
+    ):
+        extra = ["--sigma", "1"] if model == "rbf" else []
+        assert run(*small, "--model", model, *extra, flag, value) == 1
+        assert f"{flag} has no effect with --model {model} {why}" in capsys.readouterr().err
+    assert run(*small, "--val-data", data, "--val-fraction", "0.5") == 1
+    assert "--val-fraction has no effect with --val-data" in capsys.readouterr().err
+    assert run(*small, "--timing") == 1
+    assert "--timing has no effect without --history" in capsys.readouterr().err
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"model": "linear", "dropout": 0.25}))
+    assert run(*small, "--config", str(config)) == 1
+    assert "--dropout has no effect with --model linear" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    assert run(*small, "--model", "mlp", "--hidden", "4", "--dropout", "0.25") == 0
+    assert run(*small, "--val-data", data, "--history", str(tmp_path / "h.csv"), "--timing") == 0
+    capsys.readouterr()
+
+
 def test_train_rejects_bad_val_fraction(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     assert run("train", "--data", cor, "--val-fraction", "1.5",
@@ -394,12 +421,15 @@ def test_predict_reads_dataset_headed_and_headerless_csv_alike(pipeline, capsys)
         fh.write("a,b,c\n" + rows)
     with open(bare, "w") as fh:
         fh.write(rows)
+    blank_first = str(tmp_path / "blank-first.csv")  # read_table skips blank lines
+    with open(blank_first, "w") as fh:
+        fh.write("\n" + open(cor).read())
     outs = []
-    for i, data in enumerate((cor, headed, bare)):
+    for i, data in enumerate((cor, headed, bare, blank_first)):
         outs.append(str(tmp_path / f"p{i}.csv"))
         assert run("predict", "--data", data, "--model-file", model_path, "--out", outs[-1]) == 0
     capsys.readouterr()
-    assert read_bytes(outs[0]) == read_bytes(outs[1]) == read_bytes(outs[2])
+    assert len({read_bytes(out) for out in outs}) == 1
     assert len(read_bytes(outs[0]).splitlines()) == 1 + 120
 
 
@@ -426,6 +456,11 @@ def test_config_file_with_unknown_key_fails(tmp_path, capsys):
         json.dump({"frobnication": 3}, fh)
     assert run("generate", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 1
     assert "unknown config keys" in capsys.readouterr().err
+    with open(cfg, "w") as fh:
+        json.dump({"config": "missing.json", "n": 20}, fh)  # files do not nest
+    assert run("generate", "--config", cfg, "--out", str(tmp_path / "x.csv")) == 1
+    assert "config key 'config' has no effect" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.csv")
 
 
 def test_config_file_must_be_json_object(tmp_path, capsys):
@@ -714,6 +749,10 @@ def test_diagnose_scores_a_model_file_and_rejects_a_width_mismatch(pipeline, cap
     assert run("diagnose", "--d", "4", "--n-mc", "2000", "--model-file", model_path,
                "--out", rejected) == 1
     assert "model feature count does not match --d" in capsys.readouterr().err
+    assert not os.path.exists(rejected)
+    assert run("diagnose", "--d", "3", "--n-mc", "2000", "--model-file", model_path,
+               "--intercept-shift", "5", "--out", rejected) == 1
+    assert "--intercept-shift has no effect with --model-file" in capsys.readouterr().err
     assert not os.path.exists(rejected)
 
 

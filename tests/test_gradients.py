@@ -14,6 +14,7 @@ from u2reg import (
     MlpModel,
     SyntheticProcess,
     bias_lower_bound,
+    estimate_eta_xi_delta,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -21,9 +22,9 @@ from u2reg import (
     u2_batch_gradient,
     u2_dataset_gradient_estimate,
 )
-from u2reg.gradients import reg_grad
+from u2reg.gradients import MC_CHUNK, reg_grad
 from u2reg.losses import dloss_df, lower_grad_coeff, upper_grad_coeff
-from u2reg.rngutil import derive_seed
+from u2reg.rngutil import derive_rng, derive_seed
 
 SQ_ABS = LossSpec.parse("squared", "absolute")
 ABS_ABS = LossSpec.parse("absolute", "absolute")
@@ -313,6 +314,51 @@ def test_oracle_standard_errors_need_per_row_jacobians():
     process = SyntheticProcess.draw(2, derive_seed(7, "gtest-proc"))
     grad = population_gradient_oracle(mlp, process, ABS_ABS, 100, seed=0)
     assert grad.shape == mlp.theta.shape
+
+
+def test_oracle_matches_single_chunk_replay():
+    process = SyntheticProcess.draw(3, derive_seed(8, "gtest-proc"))
+    model = LinearModel(3, np.append(process.weights * 0.5, -0.2))
+    n_rows, seed = 10000, 5
+    grad, se = population_gradient_oracle(model, process, SQ_ABS, n_rows, seed, with_se=True)
+    # n_rows below the chunk size: one draw_clean call replays the stream
+    X, y = process.draw_clean(n_rows, derive_rng(seed, "population-oracle"))
+    preds = predict(model, X)
+    up = partition_upper(preds, y)
+    coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y), dloss_df(SQ_ABS.lower, preds, y))
+    G = coeff[:, None] * model.param_jacobian_batch(X)
+    assert grad == pytest.approx(G.mean(axis=0), rel=1e-12)
+    assert se == pytest.approx(G.std(axis=0) / math.sqrt(n_rows), rel=1e-12)
+
+
+class RecordingProcess:
+    """A real process that records the row count of every draw_clean call."""
+
+    def __init__(self, process):
+        self.process, self.sizes = process, []
+
+    def __getattr__(self, name):
+        return getattr(self.process, name)
+
+    def draw_clean(self, n, rng):
+        self.sizes.append(n)
+        return self.process.draw_clean(n, rng)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=1),
+    lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=1,
+                                                         with_se=True),
+    lambda model, process, n: estimate_eta_xi_delta(process, model, SQ_ABS, n, seed=1),
+], ids=["oracle", "oracle-se", "eta-xi-delta"])
+def test_clean_monte_carlo_draws_come_in_chunks(run):
+    base = SyntheticProcess.draw(2, derive_seed(9, "gtest-proc"), k_percent=50.0)
+    process = RecordingProcess(base)
+    model = LinearModel(2, np.append(base.weights, 0.1))
+    n_rows = MC_CHUNK + 10
+    run(model, process, n_rows)
+    assert process.sizes and max(process.sizes) <= MC_CHUNK
+    assert sum(process.sizes) == n_rows
 
 
 def test_oracle_needs_at_least_two_rows():
