@@ -340,7 +340,7 @@ def _resolve_options(argv: list[str]) -> tuple[str, dict]:
         choices = kwargs.get("choices")
         if choices and opts[key] not in choices:
             raise CliError(f"{flag} must be one of {choices}, got {opts[key]!r}")
-    _reject_ignored(command, opts, set(config) | set(explicit))
+    _reject_ignored(command, opts, {table[key][0] for key in set(config) | set(explicit)})
     return command, opts
 
 
@@ -361,20 +361,24 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
             ignored = dict.fromkeys(("--upper-loss", "--lower-loss", "--rho"), why)
         if method != "huber":
             ignored["--huber-delta"] = f"with --method {method} (only huber has a width)"
-        model = opts["model"]
-        if model != "rbf":
-            ignored["--sigma"] = f"with --model {model} (only rbf has a width)"
-        if model != "mlp":
-            why = f"with --model {model} (only mlp has hidden layers)"
-            ignored.update(dict.fromkeys(("--hidden", "--dropout"), why))
         if opts["val_data"]:
             ignored["--val-fraction"] = "with --val-data (that file holds the validation rows)"
         if not opts["history"]:
             ignored["--timing"] = "without --history (the seconds go in the history CSV)"
     elif command == "diagnose" and opts["model_file"]:
         ignored["--intercept-shift"] = "with --model-file (it shifts only the default model)"
+    if command in ("benchmark", "train"):
+        model = opts["model"]
+        if model != "rbf":
+            ignored["--sigma"] = f"with --model {model} (only rbf has a width)"
+        if model != "mlp":
+            why = f"with --model {model} (only mlp has hidden layers)"
+            ignored.update(dict.fromkeys(("--hidden", "--dropout"), why))
+        if opts["reg"] == "none":
+            why = "with --reg none (no penalty to weight)"
+            ignored.update(dict.fromkeys(("--lambda", "--lam-grid"), why))
     for flag, why in ignored.items():
-        if flag.lstrip("-").replace("-", "_") in given:
+        if flag in given:
             raise CliError(f"{flag} has no effect {why}")
 
 

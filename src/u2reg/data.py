@@ -8,9 +8,9 @@ of labels, so corrupted labels only ever move down: y' <= y always.
 Two corruption modes:
   - "paper": the subtracted magnitude is |N(0, (scale * beta**-0.5)^2)|
     regardless of the row's own symmetric noise.
-  - "strict": the magnitude is redrawn per row until it exceeds twice the
-    row's |eps_sym|, which guarantees that any row the oracle places at or
-    below its corrupted label is in fact uncorrupted.
+  - "strict": the magnitude is drawn, by inversion, from the half-normal's
+    tail beyond twice the row's |eps_sym|, which guarantees that any row the
+    oracle places at or below its corrupted label is in fact uncorrupted.
 """
 
 from __future__ import annotations
@@ -225,8 +225,8 @@ def corrupt(dataset: Dataset, process: SyntheticProcess, seed: int) -> Dataset:
     """Subtract half-normal noise from round(n * K / 100) labels.
 
     Rows are chosen uniformly without replacement. In strict mode each
-    selected row's magnitude is rejection-sampled until it exceeds twice the
-    row's own symmetric-noise magnitude, which requires ys_true.
+    selected row's magnitude is drawn by inversion beyond twice its own
+    |eps_sym| (needs ys_true); a floor whose tail underflows raises ValueError.
     """
     if dataset.ys_true is None:
         raise ValueError("corrupt needs ys_true to anchor the corruption")
@@ -237,17 +237,17 @@ def corrupt(dataset: Dataset, process: SyntheticProcess, seed: int) -> Dataset:
     corrupted = np.zeros(n, dtype=bool)
     picked = rng.choice(n, size=n_corrupt, replace=False)
     width = process.corruption_scale * process.noise_std
-    mag = np.abs(rng.standard_normal(n_corrupt) * width)
     if process.mode == "strict":
-        # eps_sym is recoverable because ys_true = oracle + eps_sym
-        eps = dataset.ys_true[picked] - process.oracle(dataset.xs[picked])
-        floor = 2.0 * np.abs(eps)
-        # redraw only the rows still rejected, kept in ascending row order:
-        # that order fixes which draw of the stream each row receives
-        bad = np.flatnonzero(mag <= floor)
-        while bad.size:
-            mag[bad] = np.abs(rng.standard_normal(bad.size) * width)
-            bad = bad[mag[bad] <= floor[bad]]
+        from statistics import NormalDist  # at module scope it slows every import
+        # a = 2|eps_sym| / width, as ys_true = oracle + eps_sym; invert the tail beyond a
+        a = 2.0 * np.abs(dataset.ys_true[picked] - process.oracle(dataset.xs[picked])) / width
+        p = (1.0 - rng.random(n_corrupt)) * [0.5 * math.erfc(v / math.sqrt(2.0)) for v in a]
+        if not np.all(p > 0.0):
+            raise ValueError(f"corruption_scale {process.corruption_scale:g} is too small: "
+                             "a strict floor's tail probability underflows")
+        mag = -width * np.array(list(map(NormalDist().inv_cdf, p)))
+    else:
+        mag = np.abs(rng.standard_normal(n_corrupt) * width)
     ys_prime[picked] -= mag
     corrupted[picked] = True
     # built last, so that Dataset validates the corrupted labels

@@ -68,8 +68,9 @@ class GridSpec:
     def __post_init__(self):
         for name in ("rhos", "lams", "sigmas"):
             values = tuple(float(v) for v in getattr(self, name))
-            if len(values) == 0 or not all(0.0 < v < math.inf for v in values):
-                raise ValueError(f"{name} must be a nonempty tuple of positive finite reals")
+            if (not values or len(set(values)) < len(values)
+                    or not all(0.0 < v < math.inf for v in values)):
+                raise ValueError(f"{name} must be a nonempty tuple of distinct positive finite reals")
             object.__setattr__(self, name, values)
 
 

@@ -612,6 +612,44 @@ def test_benchmark_rejects_huber_delta_without_huber(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_benchmark_rejects_mlp_flags_without_mlp(tmp_path, capsys):
+    small = ["benchmark", "--n", "40", "--d", "2", "--folds", "2", "--methods", "mse",
+             "--k", "50", "--max-epochs", "1", "--lam-grid", "0.01"]
+    for model in ("linear", "rbf"):
+        for flag, value in (("--hidden", "8"), ("--dropout", "0.3")):
+            assert run(*small, "--model", model, flag, value) == 1
+            assert (f"{flag} has no effect with --model {model} (only mlp has hidden layers)"
+                    in capsys.readouterr().err)
+    config = tmp_path / "bench.json"
+    for body, flag, model in (({"model": "rbf", "hidden": [8]}, "--hidden", "rbf"),
+                              ({"dropout": 0.3}, "--dropout", "linear")):
+        config.write_text(json.dumps(body))
+        assert run(*small, "--config", str(config)) == 1
+        assert f"{flag} has no effect with --model {model}" in capsys.readouterr().err
+    assert run(*small, "--model", "mlp", "--hidden", "4", "--dropout", "0.3") == 0
+    capsys.readouterr()
+
+
+def test_lambda_and_lam_grid_are_rejected_without_a_penalty(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    out = tmp_path / "m.json"
+    train_ = ["train", "--data", cor, "--max-epochs", "1", "--out", str(out)]
+    bench = ["benchmark", "--n", "40", "--d", "2", "--folds", "2", "--methods", "mse",
+             "--k", "50", "--max-epochs", "1"]
+    config = tmp_path / "reg.json"
+    for argv, flag, key in ((train_, "--lambda", "lam"), (bench, "--lam-grid", "lam_grid")):
+        message = f"{flag} has no effect with --reg none (no penalty to weight)"
+        assert run(*argv, "--reg", "none", flag, "0.5") == 1
+        assert message in capsys.readouterr().err
+        config.write_text(json.dumps({"reg": "none", key: 0.5}))
+        assert run(*argv, "--config", str(config)) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*train_, "--reg", "none") == 0
+    assert run(*train_, "--reg", "l1", "--lambda", "0.5") == 0
+    capsys.readouterr()
+
+
 def test_benchmark_data_rejects_process_flags(pipeline, capsys):
     tmp_path, _data, cor = pipeline
     small = ["benchmark", "--data", cor, "--folds", "2", "--methods", "mse",
@@ -645,6 +683,9 @@ def test_benchmark_repeated_method_or_k_exits_one(capsys):
     assert "method 'mse' is listed more than once" in capsys.readouterr().err
     assert run("benchmark", "--methods", "mse", "--k", "50,50", *small) == 1
     assert "K 50.0 is listed more than once" in capsys.readouterr().err
+    assert run("benchmark", "--methods", "mse", "--k", "50", "--lam-grid", "0.1,0.1",
+               "--rho-grid", "1,1", *small) == 1
+    assert "must be a nonempty tuple of distinct positive finite reals" in capsys.readouterr().err
 
 
 def test_benchmark_bad_training_settings_exit_one_and_write_nothing(tmp_path, capsys):

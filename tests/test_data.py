@@ -1,5 +1,6 @@
 """Synthetic process, corruption, splits, standardization, CSV, windows."""
 
+import math
 import os
 
 import numpy as np
@@ -16,6 +17,7 @@ from u2reg import (
     standardize,
     window_features,
 )
+from u2reg.cli import run_cli
 from u2reg.data import feature_stats, read_table, table_text
 from u2reg.rngutil import derive_seed
 
@@ -147,6 +149,45 @@ def test_strict_mode_magnitudes_dominate_symmetric_noise():
     assert np.all(mag[sel] > 2.0 * np.abs(eps_sym[sel]))
     # consequence: a corrupted label always sits strictly below the oracle
     assert np.all(out.ys_prime[sel] < p.oracle(out.xs[sel]))
+
+
+def test_strict_magnitudes_follow_the_half_normal_tail_law():
+    # zero weights and constant ys_true = c put every row's floor at a = 2c / width
+    c, width, n = 0.8, 1.0, 40_000
+    p = SyntheticProcess(1, np.zeros(1), beta=1.0, k_percent=100.0, mode="strict",
+                         corruption_scale=width)
+    ys = np.full(n, c)
+    out = corrupt(Dataset(np.zeros((n, 1)), ys, ys), p, derive_seed(14, "dtest-cor"))
+    mag = out.ys_true - out.ys_prime
+    a = 2.0 * c / width
+    tail = 0.5 * math.erfc(a / math.sqrt(2.0))
+    ratio = math.exp(-0.5 * a * a) / math.sqrt(2.0 * math.pi) / tail  # phi(a) / Phi(-a)
+    for sample, expected in ((mag, width * ratio), (mag**2, width**2 * (1.0 + a * ratio))):
+        se = sample.std() / math.sqrt(n)
+        assert abs(sample.mean() - expected) < 4.0 * se, (sample.mean(), expected, se)
+
+
+@pytest.mark.parametrize("scale", [1.0, 0.5])
+def test_strict_corruption_clears_every_floor_at_small_scales(scale):
+    p = proc(2, seed=15, k_percent=50.0, mode="strict", corruption_scale=scale)
+    out = corrupt(generate_uncorrupted(p, 1000, derive_seed(15, "dtest-gen")), p,
+                  derive_seed(15, "dtest-cor"))
+    sel = out.corrupted
+    floor = 2.0 * np.abs(out.ys_true - p.oracle(out.xs))
+    assert sel.sum() == 500
+    assert np.all((out.ys_true - out.ys_prime)[sel] > floor[sel])
+
+
+def test_strict_floor_beyond_float_tail_raises(tmp_path, capsys):
+    p = proc(2, seed=16, k_percent=50.0, mode="strict", corruption_scale=0.1)
+    ds = generate_uncorrupted(p, 1000, derive_seed(16, "dtest-gen"))
+    with pytest.raises(ValueError, match="corruption_scale 0.1"):
+        corrupt(ds, p, derive_seed(16, "dtest-cor"))
+    out = tmp_path / "strict.csv"
+    assert run_cli(["generate", "--n", "1000", "--d", "2", "--k", "50", "--corruption-mode",
+                    "strict", "--corruption-scale", "0.1", "--seed", "1", "--out", str(out)]) == 1
+    assert "corruption_scale 0.1 is too small" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_corrupt_is_seed_deterministic():

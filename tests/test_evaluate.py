@@ -84,6 +84,8 @@ def test_grid_spec_defaults_and_validation():
         GridSpec(lams=(np.nan,))
     with pytest.raises(ValueError):
         GridSpec(rhos=(0.1, np.inf))
+    with pytest.raises(ValueError, match="distinct"):
+        GridSpec(lams=(0.1, 0.1))
 
 
 # ---------------------------------------------------------------------------
