@@ -6,7 +6,7 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config (one benchmark takes its lists as JSON lists),
-stdout output, each subcommand's --help (at 100 columns) and ten rejected
+stdout output, each subcommand's --help (at 100 columns) and twelve rejected
 invocations (names starting with "reject-", which exit 1). The benchmark runs also reach the training engine's early
 stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
 grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
@@ -100,6 +100,10 @@ RUNS = [
     ("reject-config-names-config", ["generate", "--config", "names-config.json",
                                     "--out", "reject-nested.csv"]),
     ("reject-train-timing-without-history", [*TRAIN, "--timing", "--out", "reject-timing.json"]),
+    ("reject-benchmark-sigma-grid-linear", ["benchmark", "--data", "cor.csv", "--methods", "mse",
+                                            "--sigma-grid", "1,2", "--out", "reject-sigma.json"]),
+    ("reject-benchmark-rho-grid-mse", ["benchmark", "--data", "cor.csv", "--methods", "mse,mae",
+                                       "--rho-grid", "0.5,1", "--out", "reject-rho.json"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {

@@ -354,6 +354,8 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
         methods = opts["methods"]
         if "huber" not in methods:
             ignored["--huber-delta"] = f"with --methods {','.join(methods)} (only huber has a width)"
+        if not {"u2", "lu"} & set(methods):
+            ignored["--rho-grid"] = f"with --methods {','.join(methods)} (only u2 and lu have a rho)"
     elif command == "train":
         method = opts["method"]
         if method not in DEFAULT_SPECS:
@@ -370,7 +372,8 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
     if command in ("benchmark", "train"):
         model = opts["model"]
         if model != "rbf":
-            ignored["--sigma"] = f"with --model {model} (only rbf has a width)"
+            why = f"with --model {model} (only rbf has a width)"
+            ignored.update(dict.fromkeys(("--sigma", "--sigma-grid"), why))
         if model != "mlp":
             why = f"with --model {model} (only mlp has hidden layers)"
             ignored.update(dict.fromkeys(("--hidden", "--dropout"), why))

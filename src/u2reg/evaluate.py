@@ -111,7 +111,8 @@ def grid_search(
 
     Every cell trains template (its method, losses and loop settings) with
     the cell's rho, lambda and seed. The grid is the Cartesian product of
-    sigma (rbf models only), rho (u2 and lu only) and lambda; the cells of
+    sigma (rbf models only), rho (u2 and lu only) and lambda (0 alone
+    without a regularizer, whose lambda weighs nothing); the cells of
     one sigma share a model structure and train together as one
     optim.train_cells block, each exactly as it would alone. Each cell is
     ranked on the best validation_loss its run reached: the baselines on the
@@ -166,10 +167,11 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
     for item, (train_ds, val_ds, template, seed) in enumerate(items):
         sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
         rhos = grid.rhos if template.naive_kind is None else (None,)
+        lams = grid.lams if template.reg is not None else (0.0,)
         for sigma in sigmas:
             cell_arch = replace(arch, sigma=sigma) if sigma is not None else arch
             first = len(cells[item])
-            hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in grid.lams]
+            hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in lams]
             unit_cells = [CellResult(first + i, h, math.inf) for i, h in enumerate(hypers)]
             cells[item].extend(unit_cells)
             cfgs = [replace(template, rho=c.hyper.rho if c.hyper.rho is not None else template.rho,

@@ -42,7 +42,8 @@ from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_c
 from .rngutil import derive_rng
 
 REGULARIZERS = ("l1", "l2")
-MC_CHUNK = 65536  # clean Monte-Carlo rows drawn per draw_clean call
+# rows per draw_clean call; clean_pass holds one chunk, linear ~2 * MC_CHUNK * (d + 1) * 8 bytes
+MC_CHUNK = 65536
 
 
 def reg_grad(reg: str | None, theta: np.ndarray) -> np.ndarray:
@@ -217,6 +218,8 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
     Returns (n_up, g_up, g_lo, sq): the count of rows with f <= y, the summed
     gradient on that side and on the other, and with with_sq the coordinatewise
     sum of squared per-row gradients (needs param_jacobian_batch; else None).
+    One chunk is alive at a time: one chunk of X plus one of J (P columns),
+    MC_CHUNK * (d + P) * 8 bytes (2 * MC_CHUNK * (d + 1) * 8 for linear), plus row vectors.
     """
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0 if with_sq else None
     for start in range(0, n_rows, MC_CHUNK):
@@ -227,9 +230,14 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
         n_up += int(up.sum())
         g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
         g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
+        del preds, cache, up
         if with_sq:
-            G = coeff[:, None] * model.param_jacobian_batch(X)
-            sq = sq + (G * G).sum(axis=0)
+            G = model.param_jacobian_batch(X)  # fresh, so (coeff_i J_i)^2 forms in place
+            G *= coeff[:, None]
+            G *= G
+            sq = sq + G.sum(axis=0)
+            del G
+        del X, y, coeff  # freed before the next chunk is drawn
     return n_up, g_up, g_lo, sq
 
 

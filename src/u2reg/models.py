@@ -15,6 +15,8 @@ backward_weighted:
     full batch gradient without materializing per-sample Jacobians.
 
 ``predict(model, X)`` is the deterministic ``forward(features(X))`` value.
+linear and rbf also give ``param_jacobian_batch(X)``, the (N, P) per-row
+Jacobians, as a fresh array the caller may overwrite.
 
 Parameters live in a flat float64 vector ``theta`` of length P so the
 optimizer never needs to know the architecture. theta may also be a (C, P)
@@ -96,7 +98,7 @@ class LinearModel:
         return LinearModel(self.input_dim, np.array(theta, dtype=float))
 
     def param_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row i holds d f(x_i) / d theta; for f = w.x + b that is [x_i, 1]."""
+        """Row i holds d f(x_i)/d theta = [x_i, 1]; a fresh array the caller may overwrite."""
         X = _check_inputs(X, self.input_dim)
         return np.hstack([X, np.ones((X.shape[0], 1))])
 
@@ -145,7 +147,7 @@ class RbfLinearModel:
         return RbfLinearModel(self.bases, self.sigma, np.array(theta, dtype=float))
 
     def param_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row i holds d f(x_i) / d theta, i.e. the kernel feature row."""
+        """Row i holds d f(x_i)/d theta = phi(x_i); a fresh array the caller may overwrite."""
         return self.features(X)
 
 

@@ -395,7 +395,7 @@ def test_cli_artifacts_are_byte_identical(tmp_path, capsys):
         "benchmark", "--task", "low-noise", "--n", "300", "--d", "3",
         "--folds", "2", "--methods", "mse", "--k", "50",
         "--max-epochs", "25", "--patience", "5", "--seed", "6",
-        "--rho-grid", "1", "--lam-grid", "1e-2", "--sigma-grid", "1",
+        "--lam-grid", "1e-2",
         "--out", path("rep-@.json"), "--table", path("tab-@.txt"),
         "--points", path("pts-@.csv"),
     )

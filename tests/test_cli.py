@@ -550,7 +550,7 @@ def test_benchmark_small_run_writes_all_artifacts(tmp_path, capsys):
         "benchmark", "--task", "low-noise", "--n", "120", "--d", "3",
         "--folds", "2", "--methods", "mse", "--k", "50",
         "--max-epochs", "2", "--patience", "2",
-        "--rho-grid", "1", "--lam-grid", "0.01", "--sigma-grid", "1",
+        "--lam-grid", "0.01",
         "--out", rep, "--table", table, "--points", points,
     ) == 0
     capsys.readouterr()
@@ -567,7 +567,7 @@ def test_benchmark_points_one_file_per_k(tmp_path, capsys):
     assert run(
         "benchmark", "--n", "90", "--d", "2", "--folds", "2", "--methods", "mse",
         "--k", "25,50", "--max-epochs", "1", "--patience", "1",
-        "--rho-grid", "1", "--lam-grid", "0.01", "--sigma-grid", "1",
+        "--lam-grid", "0.01",
         "--out", str(tmp_path / "r.json"), "--points", points,
     ) == 0
     capsys.readouterr()
@@ -580,7 +580,7 @@ def test_benchmark_stdout_report(capsys):
     assert run(
         "benchmark", "--n", "60", "--d", "2", "--folds", "2", "--methods", "mse",
         "--k", "50", "--max-epochs", "1", "--patience", "1",
-        "--rho-grid", "1", "--lam-grid", "0.01", "--sigma-grid", "1",
+        "--lam-grid", "0.01",
     ) == 0
     out = capsys.readouterr().out
     payload = json.loads(out)
@@ -627,6 +627,31 @@ def test_benchmark_rejects_mlp_flags_without_mlp(tmp_path, capsys):
         assert run(*small, "--config", str(config)) == 1
         assert f"{flag} has no effect with --model {model}" in capsys.readouterr().err
     assert run(*small, "--model", "mlp", "--hidden", "4", "--dropout", "0.3") == 0
+    capsys.readouterr()
+
+
+def test_benchmark_rejects_sigma_grid_without_rbf_and_rho_grid_without_u2_or_lu(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    small = ["benchmark", "--n", "40", "--d", "2", "--folds", "2", "--k", "50",
+             "--max-epochs", "1", "--lam-grid", "0.01", "--out", str(out)]
+    config = tmp_path / "bench.json"
+    for model in ("linear", "mlp"):
+        message = f"--sigma-grid has no effect with --model {model} (only rbf has a width)"
+        assert run(*small, "--methods", "u2", "--model", model, "--sigma-grid", "1,2") == 1
+        assert message in capsys.readouterr().err
+        config.write_text(json.dumps({"model": model, "sigma_grid": [1, 2]}))
+        assert run(*small, "--methods", "u2", "--config", str(config)) == 1
+        assert message in capsys.readouterr().err
+    message = "--rho-grid has no effect with --methods mse,huber (only u2 and lu have a rho)"
+    assert run(*small, "--methods", "mse,huber", "--rho-grid", "0.5,1") == 1
+    assert message in capsys.readouterr().err
+    config.write_text(json.dumps({"methods": ["mse", "huber"], "rho_grid": [0.5, 1]}))
+    assert run(*small, "--config", str(config)) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+    assert run(*small, "--methods", "lu,mse", "--model", "rbf", "--sigma-grid", "1",
+               "--rho-grid", "0.5") == 0
+    assert json.loads(out.read_text())["methods"] == ["lu", "mse"]
     capsys.readouterr()
 
 
@@ -683,7 +708,7 @@ def test_benchmark_repeated_method_or_k_exits_one(capsys):
     assert "method 'mse' is listed more than once" in capsys.readouterr().err
     assert run("benchmark", "--methods", "mse", "--k", "50,50", *small) == 1
     assert "K 50.0 is listed more than once" in capsys.readouterr().err
-    assert run("benchmark", "--methods", "mse", "--k", "50", "--lam-grid", "0.1,0.1",
+    assert run("benchmark", "--methods", "u2", "--k", "50", "--lam-grid", "0.1,0.1",
                "--rho-grid", "1,1", *small) == 1
     assert "must be a nonempty tuple of distinct positive finite reals" in capsys.readouterr().err
 

@@ -195,6 +195,19 @@ def test_grid_search_rbf_expands_sigma_axis():
     assert out.best.sigma in (0.5, 2.0)
 
 
+def test_pooled_search_trains_lambda_zero_alone_without_a_regularizer():
+    tr_s, va_s, _ = small_corruption_splits(seed=58, n=120)
+    grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-3, 1e-2, 1e-1), sigmas=(0.5, 2.0))
+    items = [(tr_s, va_s, TrainConfig(method, reg=reg, max_epochs=2, seed=4), 4)
+             for method in ("u2", "mse") for reg in (None, "l2")]
+    outcomes = pooled_grid_search(items, ArchSpec("rbf", sigma=1.0), grid)
+    assert [len(out.cells) for out in outcomes] == [4, 12, 2, 6]
+    assert [c.hyper for c in outcomes[0].cells] == [
+        Hyperparams(rho=rho, lam=0.0, sigma=sigma) for sigma in (0.5, 2.0) for rho in (0.5, 1.0)]
+    assert {c.hyper.lam for c in outcomes[2].cells} == {0.0}
+    assert {c.hyper.lam for c in outcomes[3].cells} == set(grid.lams)
+
+
 def test_grid_search_isolates_failing_cells():
     # rho = 1e308 overflows the label-free term of the cell's first gradient
     tr_s, va_s, _ = small_corruption_splits(seed=59, n=100)

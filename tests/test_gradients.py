@@ -1,6 +1,7 @@
 """Batch gradients: corrected forms, baselines, oracles, bias diagnostics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from u2reg import (
     LossKind,
     LossSpec,
     MlpModel,
+    RbfLinearModel,
     SyntheticProcess,
     bias_lower_bound,
     estimate_eta_xi_delta,
@@ -359,6 +361,61 @@ def test_clean_monte_carlo_draws_come_in_chunks(run):
     run(model, process, n_rows)
     assert process.sizes and max(process.sizes) <= MC_CHUNK
     assert sum(process.sizes) == n_rows
+
+
+def _replay_sums(model, process, n_rows, rng):
+    """clean_pass's sums for two chunks, with coeff * J formed out of place
+    and squared as G * G, chunk sums added in draw order."""
+    n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0
+    for size in (MC_CHUNK, n_rows - MC_CHUNK):
+        X, y = process.draw_clean(size, rng)
+        preds, cache = model.forward(model.features(X))
+        up = partition_upper(preds, y)
+        coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y), dloss_df(SQ_ABS.lower, preds, y))
+        n_up += int(up.sum())
+        g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
+        g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
+        G = coeff[:, None] * model.param_jacobian_batch(X)
+        sq = sq + (G * G).sum(axis=0)
+    return n_up, g_up, g_lo, sq
+
+
+@pytest.mark.parametrize("kind", ["linear", "rbf"])
+def test_two_chunk_oracle_and_side_gap_match_a_replay_bit_for_bit(kind):
+    process = SyntheticProcess.draw(3, derive_seed(11, "gtest-proc"))
+    bases = derive_rng(11, "gtest-bases").standard_normal((5, 3))
+    model = {"linear": LinearModel(3, np.append(process.weights * 0.5, -0.2)),
+             "rbf": RbfLinearModel(bases, 1.5, np.linspace(-1.0, 1.0, 5))}[kind]
+    n_rows, seed = MC_CHUNK + 10, 5
+    grad, se = population_gradient_oracle(model, process, SQ_ABS, n_rows, seed, with_se=True)
+    _, g_up, g_lo, sq = _replay_sums(model, process, n_rows, derive_rng(seed, "population-oracle"))
+    want = (g_up + g_lo) / n_rows
+    assert np.array_equal(grad, want)
+    assert np.array_equal(se, np.sqrt(np.maximum(sq / n_rows - want * want, 0.0) / n_rows))
+    diag = estimate_eta_xi_delta(process, model, SQ_ABS, n_rows, seed)
+    n_up, g_up, g_lo, _ = _replay_sums(model, process, n_rows, derive_rng(seed, "eta-xi-delta"))
+    assert diag.eta == n_up / n_rows
+    assert diag.delta == float(np.max(np.abs(g_up / n_up - g_lo / (n_rows - n_up))))
+
+
+@pytest.mark.parametrize("run, chunks", [
+    (lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=3,
+                                                          with_se=True), 3.0),
+    (lambda model, process, n: estimate_eta_xi_delta(process, model, SQ_ABS, n, seed=3), 1.8),
+], ids=["oracle-se", "eta-xi-delta"])
+def test_clean_pass_holds_one_chunk_at_a_time(run, chunks):
+    # d = 10: one chunk of X or of J is about MC_CHUNK * 11 float64s; holding
+    # the previous chunk through the next draw, or squaring J out of place,
+    # peaks near 4.2 (oracle) and 2.3 (eta-xi-delta) such chunks
+    process = SyntheticProcess.draw(10, derive_seed(10, "gtest-proc"))
+    model = LinearModel(10, np.append(process.weights, 0.1))
+    tracemalloc.start()
+    try:
+        run(model, process, 2 * MC_CHUNK + 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < chunks * MC_CHUNK * 11 * 8
 
 
 def test_oracle_needs_at_least_two_rows():
