@@ -11,10 +11,11 @@ invocations (names starting with "reject-", which exit 1). The benchmark runs al
 stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
 grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
 items that train on 64 or 65 rows, so their pooled grid search forms blocks
-of two row counts. Warnings are written as "Category: message" lines
-without their source location, which differs between checkouts. Run it
-once per checkout into two directories and compare them with `diff -r`: a
-refactor that keeps the CLI's behaviour leaves no difference.
+of two row counts, and folds whose test block keeps no uncorrupted row.
+Warnings are written as "Category: message" lines without their source
+location, which differs between checkouts. Run it once per checkout into
+two directories and compare them with `diff -r`: a refactor that keeps the
+CLI's behaviour leaves no difference.
 """
 
 import contextlib
@@ -78,6 +79,9 @@ RUNS = [
                                 "--model", "mlp", "--folds", "2", "--max-epochs", "3",
                                 "--rho-grid", "0.5,1", "--seed", "6",
                                 "--out", "bench-config-lists.json"]),
+    ("benchmark-empty-test-fold", ["benchmark", "--n", "40", "--d", "2", "--folds", "40",
+                                   "--k", "50", "--methods", "mse", "--max-epochs", "2",
+                                   "--lam-grid", "0.01"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),

@@ -403,8 +403,9 @@ def run_benchmark(
     blocks, and each item's chosen model is scored on the fold's clean-only
     test rows, in that same order. Synthetic scores are against ys_true;
     CSV tasks without a y_true column fall back to ys_prime and say so in
-    target_label. An item whose search or scoring fails is recorded in
-    errors and the run continues. Synthetic K values are coerced to float,
+    target_label. An item whose search or scoring fails, or whose test
+    block kept no uncorrupted row (then no cell trains for it), is recorded
+    in errors and the run continues. Synthetic K values are coerced to float,
     so 50 and 50.0 draw the same streams; a repeated method or K is
     rejected.
     """
@@ -444,7 +445,9 @@ def run_benchmark(
     items = []
     for k, sets in zip(k_list, fold_sets):
         for method in methods:
-            for fold, (tr_s, (va_s, _te), _) in enumerate(sets):
+            for fold, (tr_s, (va_s, te_s), _) in enumerate(sets):
+                if not len(te_s):
+                    continue  # nothing to score: no cell trains, an error is recorded below
                 run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
                 template = replace(templates[method], batch_size=min(batch_size, len(tr_s)),
                                    seed=run_seed)
@@ -458,6 +461,10 @@ def run_benchmark(
         for method in methods:
             maes, signed, maes_raw, hyper = [], [], [], []
             for fold, (_tr, (_va, te_s), _) in enumerate(sets):
+                where = f"seed={seed} k={k} fold={fold} method={method}"
+                if not len(te_s):
+                    errors.append(f"{where}: no uncorrupted test row to score")
+                    continue
                 search = next(searches)
                 try:
                     if isinstance(search, Exception):
@@ -467,7 +474,7 @@ def run_benchmark(
                     fold_mae = mae(target, preds)
                     fold_signed = mean_signed_error(target, preds)
                 except Exception as exc:
-                    errors.append(f"seed={seed} k={k} fold={fold} method={method}: {exc!r}")
+                    errors.append(f"{where}: {exc!r}")
                     continue
                 maes.append(fold_mae / scale)
                 signed.append(fold_signed / scale)

@@ -42,7 +42,7 @@ from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_c
 from .rngutil import derive_rng
 
 REGULARIZERS = ("l1", "l2")
-# rows per draw_clean call; clean_pass holds one chunk, linear ~2 * MC_CHUNK * (d + 1) * 8 bytes
+# rows per draw_clean call; clean_pass holds one chunk of X (phi too for rbf) plus row vectors
 MC_CHUNK = 65536
 
 
@@ -197,13 +197,14 @@ def population_gradient_oracle(
     kind where f > y. Fresh clean rows come from process.draw_clean, so this
     never sees corruption; it is the ground truth the corrected estimators
     are judged against. Returns grad, or (grad, se) with per-coordinate
-    standard errors of the Monte-Carlo mean; with_se needs a model with
-    param_jacobian_batch (linear or rbf).
+    standard errors of the Monte-Carlo mean. with_se needs a linear or rbf
+    model, whose squared per-row gradients clean_pass reads off the forward
+    features in the same pass, with no per-row Jacobian built.
     """
     if n_rows < 2:
         raise ValueError("need at least two Monte-Carlo rows")
-    if with_se and not hasattr(model, "param_jacobian_batch"):
-        raise ValueError(f"with_se needs per-row Jacobians, which a {model.kind} model lacks")
+    if with_se and model.kind not in ("linear", "rbf"):
+        raise ValueError(f"with_se needs a linear or rbf model, not a {model.kind} model")
     _, g_up, g_lo, sq = clean_pass(model, process, spec, n_rows,
                                    derive_rng(seed, "population-oracle"), with_se)
     grad = (g_up + g_lo) / n_rows
@@ -217,9 +218,13 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
 
     Returns (n_up, g_up, g_lo, sq): the count of rows with f <= y, the summed
     gradient on that side and on the other, and with with_sq the coordinatewise
-    sum of squared per-row gradients (needs param_jacobian_batch; else None).
-    One chunk is alive at a time: one chunk of X plus one of J (P columns),
-    MC_CHUNK * (d + P) * 8 bytes (2 * MC_CHUNK * (d + 1) * 8 for linear), plus row vectors.
+    sum of squared per-row gradients (linear or rbf only; else None). Row i's
+    gradient is coeff_i J_i with J_i = [F_i, 1] (linear) or F_i (rbf), F the
+    forward cache, so that sum is backward_weighted(F * F, coeff^2). F is
+    squared in place once the side sums are taken: it is a fresh array this
+    pass owns, X itself from draw_clean (which must return a new array) for
+    linear, phi(X) for rbf. One chunk is alive at a time, with or without
+    with_sq: one chunk of X (and of phi for rbf) plus row vectors.
     """
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0 if with_sq else None
     for start in range(0, n_rows, MC_CHUNK):
@@ -230,14 +235,10 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
         n_up += int(up.sum())
         g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
         g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
-        del preds, cache, up
         if with_sq:
-            G = model.param_jacobian_batch(X)  # fresh, so (coeff_i J_i)^2 forms in place
-            G *= coeff[:, None]
-            G *= G
-            sq = sq + G.sum(axis=0)
-            del G
-        del X, y, coeff  # freed before the next chunk is drawn
+            cache *= cache  # F * F in place: F is this chunk's own array
+            sq = sq + model.backward_weighted(cache, coeff * coeff)
+        del X, y, preds, cache, up, coeff  # freed before the next chunk is drawn
     return n_up, g_up, g_lo, sq
 
 

@@ -16,7 +16,9 @@ backward_weighted:
 
 ``predict(model, X)`` is the deterministic ``forward(features(X))`` value.
 linear and rbf also give ``param_jacobian_batch(X)``, the (N, P) per-row
-Jacobians, as a fresh array the caller may overwrite.
+Jacobians, as a fresh array the caller may overwrite. No library path calls
+it: it is the independent reference the tests check the gradients against
+(the oracle's standard errors square the forward features instead).
 
 Parameters live in a flat float64 vector ``theta`` of length P so the
 optimizer never needs to know the architecture. theta may also be a (C, P)

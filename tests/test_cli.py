@@ -727,6 +727,17 @@ def test_benchmark_bad_training_settings_exit_one_and_write_nothing(tmp_path, ca
         assert not out.exists()
 
 
+def test_benchmark_names_an_empty_test_fold_on_stderr(capsys):
+    # at K = 100 every test row is corrupted: each item fails, the run still exits 0
+    assert run("benchmark", "--n", "40", "--d", "2", "--folds", "40", "--k", "100",
+               "--methods", "mse", "--max-epochs", "2", "--lam-grid", "0.01") == 0
+    err = capsys.readouterr().err
+    assert err.count("no uncorrupted test row to score") == 40
+    assert ("benchmark item failed: seed=0 k=100.0 fold=0 method=mse: "
+            "no uncorrupted test row to score") in err
+    assert "0 summaries" in err
+
+
 def test_benchmark_beta_and_corruption_scale_reach_the_report(capsys):
     assert run("benchmark", "--n", "60", "--d", "2", "--folds", "2", "--methods", "mse",
                "--k", "50", "--max-epochs", "1", "--lam-grid", "0.01",

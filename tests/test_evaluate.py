@@ -386,6 +386,32 @@ def test_benchmark_isolates_a_failing_item(monkeypatch):
     assert rep.to_text().splitlines()[-3:] == [f"error: {err}" for err in rep.errors]
 
 
+def test_benchmark_trains_nothing_for_an_empty_test_fold(monkeypatch):
+    import u2reg.evaluate as ev
+
+    real_train_cells = ev.train_cells
+    trained = []
+
+    def recording(block, data, cfgs, step_callback=None):
+        trained.extend(cfg.seed for cfg in cfgs)
+        return real_train_cells(block, data, cfgs, step_callback)
+
+    monkeypatch.setattr(ev, "train_cells", recording)
+    task = BenchmarkTask.named("low-noise", n=40, d=2)
+    rep = ev.run_benchmark(task, ["mse"], [50.0], folds=40, seeds=0,
+                           grid=GridSpec(lams=(1e-2,)), max_epochs=2)
+    empty = [fold for fold, (_tr, (_va, te_s), _) in enumerate(_fold_sets(task, 0, 50.0, 40))
+             if not len(te_s)]
+    assert 0 < len(empty) < 40
+    assert rep.errors == sorted(f"seed=0 k=50.0 fold={fold} method=mse: "
+                                "no uncorrupted test row to score" for fold in empty)
+    scored = [fold for fold in range(40) if fold not in empty]
+    assert sorted(trained) == sorted(
+        derive_seed(derive_seed(0, "benchmark-train", task.name, 50.0, fold, "mse"), "grid-cell", 0)
+        for fold in scored)
+    assert len(rep.summary("mse", 50.0).fold_maes) == len(scored)
+
+
 def _fold_sets(task, seed, k, folds):
     """A benchmark's standardized (train, (val, test), stats) folds at K, rebuilt by hand."""
     process = SyntheticProcess.draw(

@@ -364,8 +364,9 @@ def test_clean_monte_carlo_draws_come_in_chunks(run):
 
 
 def _replay_sums(model, process, n_rows, rng):
-    """clean_pass's sums for two chunks, with coeff * J formed out of place
-    and squared as G * G, chunk sums added in draw order."""
+    """clean_pass's sums for two chunks, the squared gradients as the forward
+    features squared out of place and weighted by coeff^2, chunk sums added
+    in draw order."""
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0
     for size in (MC_CHUNK, n_rows - MC_CHUNK):
         X, y = process.draw_clean(size, rng)
@@ -375,8 +376,7 @@ def _replay_sums(model, process, n_rows, rng):
         n_up += int(up.sum())
         g_up = g_up + model.backward_weighted(cache, np.where(up, coeff, 0.0))
         g_lo = g_lo + model.backward_weighted(cache, np.where(up, 0.0, coeff))
-        G = coeff[:, None] * model.param_jacobian_batch(X)
-        sq = sq + (G * G).sum(axis=0)
+        sq = sq + model.backward_weighted(cache * cache, coeff * coeff)
     return n_up, g_up, g_lo, sq
 
 
@@ -400,13 +400,14 @@ def test_two_chunk_oracle_and_side_gap_match_a_replay_bit_for_bit(kind):
 
 @pytest.mark.parametrize("run, chunks", [
     (lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=3,
-                                                          with_se=True), 3.0),
+                                                          with_se=True), 1.8),
     (lambda model, process, n: estimate_eta_xi_delta(process, model, SQ_ABS, n, seed=3), 1.8),
 ], ids=["oracle-se", "eta-xi-delta"])
 def test_clean_pass_holds_one_chunk_at_a_time(run, chunks):
-    # d = 10: one chunk of X or of J is about MC_CHUNK * 11 float64s; holding
-    # the previous chunk through the next draw, or squaring J out of place,
-    # peaks near 4.2 (oracle) and 2.3 (eta-xi-delta) such chunks
+    # d = 10: one chunk of X is about MC_CHUNK * 11 float64s; both passes
+    # peak near 1.4 such chunks. Holding the previous chunk through the next
+    # draw peaks near 2.3, and a second chunk-sized array for the standard
+    # errors (a per-row Jacobian) near 2.2
     process = SyntheticProcess.draw(10, derive_seed(10, "gtest-proc"))
     model = LinearModel(10, np.append(process.weights, 0.1))
     tracemalloc.start()
@@ -416,6 +417,17 @@ def test_clean_pass_holds_one_chunk_at_a_time(run, chunks):
     finally:
         tracemalloc.stop()
     assert peak < chunks * MC_CHUNK * 11 * 8
+
+
+def test_oracle_standard_errors_compute_rbf_features_once():
+    process = SyntheticProcess.draw(3, derive_seed(12, "gtest-proc"))
+    bases = derive_rng(12, "gtest-bases").standard_normal((5, 3))
+    model = RbfLinearModel(bases, 1.5, np.linspace(-1.0, 1.0, 5))
+    rows, features = [], model.features
+    model.features = lambda X: rows.append(len(X)) or features(X)
+    n_rows = MC_CHUNK + 10
+    population_gradient_oracle(model, process, SQ_ABS, n_rows, seed=2, with_se=True)
+    assert sum(rows) == n_rows
 
 
 def test_oracle_needs_at_least_two_rows():

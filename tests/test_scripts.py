@@ -34,7 +34,7 @@ def test_cli_snapshot_writes_every_run(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes = {name[:-len(".code")]: (tmp_path / name).read_text()
              for name in os.listdir(tmp_path) if name.endswith(".code")}
-    assert len(codes) == 45
+    assert len(codes) == 46
     for name, code in codes.items():
         assert code == ("1\n" if name.startswith("reject-") else "0\n"), name
         assert (tmp_path / f"{name}.stdout").exists() and (tmp_path / f"{name}.stderr").exists()
