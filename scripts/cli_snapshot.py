@@ -6,12 +6,14 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config (one benchmark takes its lists as JSON lists),
-stdout output, each subcommand's --help (at 100 columns) and twelve rejected
-invocations (names starting with "reject-", which exit 1). The benchmark runs also reach the training engine's early
-stopping (all five methods, patience 2), rbf grids over two sigmas, an mlp
-grid with dropout, a grid with one failing rho = 1e308 cell, and (K, fold)
-items that train on 64 or 65 rows, so their pooled grid search forms blocks
-of two row counts, and folds whose test block keeps no uncorrupted row.
+stdout output, each subcommand's --help (at 100 columns) and fourteen rejected
+invocations (names starting with "reject-", which exit 1). The benchmark
+runs also reach the training engine's early stopping (all five methods,
+patience 2), rbf grids over two sigmas, an mlp grid with dropout, a grid
+with one failing rho = 1e308 cell, (K, fold) items that train on 64 or 65
+rows, so their pooled grid search forms blocks of two row counts, folds
+whose test block keeps no uncorrupted row, and a run that scores no item
+at all (benchmark-every-item-fails, which exits 2).
 Warnings are written as "Category: message" lines without their source
 location, which differs between checkouts. Run it once per checkout into
 two directories and compare them with `diff -r`: a refactor that keeps the
@@ -82,6 +84,9 @@ RUNS = [
     ("benchmark-empty-test-fold", ["benchmark", "--n", "40", "--d", "2", "--folds", "40",
                                    "--k", "50", "--methods", "mse", "--max-epochs", "2",
                                    "--lam-grid", "0.01"]),
+    ("benchmark-every-item-fails", ["benchmark", "--n", "40", "--d", "2", "--folds", "40",
+                                    "--k", "100", "--methods", "mse", "--max-epochs", "2",
+                                    "--lam-grid", "0.01", "--out", "bench-every-fails.json"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),
@@ -108,6 +113,10 @@ RUNS = [
                                             "--sigma-grid", "1,2", "--out", "reject-sigma.json"]),
     ("reject-benchmark-rho-grid-mse", ["benchmark", "--data", "cor.csv", "--methods", "mse,mae",
                                        "--rho-grid", "0.5,1", "--out", "reject-rho.json"]),
+    ("reject-benchmark-task-with-data", ["benchmark", "--data", "cor.csv", "--task", "high-noise",
+                                         "--methods", "mse", "--out", "reject-task.json"]),
+    ("reject-generate-task-with-beta", ["generate", "--task", "high-noise", "--beta", "2",
+                                        "--out", "reject-task.csv"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {

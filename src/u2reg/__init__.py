@@ -24,7 +24,6 @@ from .evaluate import (
     GridSpec,
     Hyperparams,
     estimate_eta_xi_delta,
-    grid_search,
     mae,
     mean_signed_error,
     pooled_grid_search,
@@ -65,8 +64,7 @@ __all__ = [
     "LinearModel", "LossKind", "LossSpec", "MlpModel", "RbfLinearModel",
     "SyntheticProcess", "TrainConfig", "TrainResult", "adam_init", "adam_step",
     "bias_lower_bound", "corrupt", "derive_rng", "derive_seed", "dloss_df",
-    "estimate_eta_xi_delta", "generate_uncorrupted",
-    "grid_search", "init_model",
+    "estimate_eta_xi_delta", "generate_uncorrupted", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "naive_batch_gradient",
     "param_jacobian", "partition_upper", "pooled_grid_search", "population_gradient_oracle",

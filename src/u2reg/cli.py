@@ -351,6 +351,7 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
         if opts["data"]:
             why = "with --data (the CSV fixes the rows, labels and corruption)"
             ignored = {flags[0]: why for flags, _ in _process_args(_NUMBERS, "50")}
+            ignored["--task"] = why
         methods = opts["methods"]
         if "huber" not in methods:
             ignored["--huber-delta"] = f"with --methods {','.join(methods)} (only huber has a width)"
@@ -369,6 +370,8 @@ def _reject_ignored(command: str, opts: dict, given: set[str]) -> None:
             ignored["--timing"] = "without --history (the seconds go in the history CSV)"
     elif command == "diagnose" and opts["model_file"]:
         ignored["--intercept-shift"] = "with --model-file (it shifts only the default model)"
+    if command in ("generate", "diagnose") and opts["beta"] is not None:
+        ignored["--task"] = "with --beta (the task only picks the noise precision)"
     if command in ("benchmark", "train"):
         model = opts["model"]
         if model != "rbf":
@@ -557,7 +560,7 @@ def _run_benchmark(opts: dict) -> int:
                        corruption_mode=opts["corruption_mode"], **given)
         k_list = opts["k"]
     grid = GridSpec(rhos=opts["rho_grid"], lams=opts["lam_grid"], sigmas=opts["sigma_grid"])
-    # grid_search gives each rbf cell its own width from --sigma-grid; the
+    # the grid search gives each rbf cell its own width from --sigma-grid; the
     # first value only satisfies ArchSpec
     arch = _arch_from({**opts, "sigma": grid.sigmas[0]})
     report = run_benchmark(
@@ -580,6 +583,9 @@ def _run_benchmark(opts: dict) -> int:
     for err in report.errors:
         _info(f"benchmark item failed: {err}")
     _info(f"benchmark done: task {report.task}, {len(report.summaries)} summaries")
+    if report.errors and not report.summaries:
+        _info("runtime failure: every benchmark item failed")
+        return 2
     return 0
 
 

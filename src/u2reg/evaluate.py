@@ -1,4 +1,4 @@
-"""Metrics, grid search and the synthetic benchmark pipeline.
+"""Metrics, the pooled grid search and the synthetic benchmark pipeline.
 
 The benchmark tasks pin a concrete corruption geometry: half-normal
 downward corruption whose width is corruption_scale times the symmetric
@@ -23,7 +23,7 @@ from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, spl
 from .gradients import BiasDiagnostics, bias_lower_bound, clean_pass
 from .losses import LossSpec
 from .models import ArchSpec, init_model, predict
-from .optim import TrainConfig, TrainResult, train_cells
+from .optim import TrainConfig, TrainResult, block_key, train_cells
 from .rngutil import derive_rng, derive_seed
 
 # ---------------------------------------------------------------------------
@@ -99,37 +99,6 @@ class GridSearchResult:
     cells: list[CellResult]
 
 
-def grid_search(
-    train_ds: Dataset,
-    val_ds: Dataset,
-    arch: ArchSpec,
-    grid: GridSpec,
-    template: TrainConfig,
-    seed: int = 0,
-) -> GridSearchResult:
-    """Train one model per grid cell and return the best validation cell.
-
-    Every cell trains template (its method, losses and loop settings) with
-    the cell's rho, lambda and seed. The grid is the Cartesian product of
-    sigma (rbf models only), rho (u2 and lu only) and lambda (0 alone
-    without a regularizer, whose lambda weighs nothing); the cells of
-    one sigma share a model structure and train together as one
-    optim.train_cells block, each exactly as it would alone. Each cell is
-    ranked on the best validation_loss its run reached: the baselines on the
-    loss they train, u2 and lu on absolute error against the observed
-    labels. Ties break toward smaller lambda, then smaller rho, then smaller
-    sigma, then declaration order. A cell whose training fails (a non-finite
-    gradient or parameter) is disqualified but recorded, and so is every
-    cell of a block that raises as a whole; the search only fails, with a
-    RuntimeError, if every cell does. This is pooled_grid_search for one
-    item.
-    """
-    (outcome,) = pooled_grid_search([(train_ds, val_ds, template, seed)], arch, grid)
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 POOL_BLOCK_BYTES = 1 << 26
 """Most bytes one pooled block may hold, counted as its stacked training and
 validation features plus PARAM_COPIES copies of its (C, P) float64 theta.
@@ -145,26 +114,35 @@ a 256-cell block of 31,501-parameter mlp cells peaked at 1,024 MB."""
 
 
 def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
-    """grid_search for each (train_ds, val_ds, template, seed) item, trained together.
+    """The grid search of each (train_ds, val_ds, template, seed) item, trained together.
 
-    Item i's outcome is the GridSearchResult that grid_search(train_ds,
-    val_ds, arch, grid, template, seed) returns, or the RuntimeError it
-    raises. The cells of all items that share a model structure, a
-    TrainConfig up to rho, lam and seed, their training and validation row
-    counts and their feature counts train as one optim.train_cells block,
-    possibly across datasets; a cell computes the same floats there as in
-    its item's own search. rbf bases are an item's training rows, so rbf
-    cells pool only within an item, one block per sigma. A block stays
-    within POOL_BLOCK_BYTES. Every input that train_cells checks for a
-    block as a whole is shared by its cells, so a block that raises (in
-    model init or in train_cells) fails each of its cells with that error,
-    as their own search would. Only each item's best result so far is kept
+    An item's grid is the Cartesian product of sigma (rbf models only), rho
+    (u2 and lu only) and lambda (0 alone without a regularizer, whose lambda
+    weighs nothing). Each cell trains template (its method, losses and loop
+    settings) with the cell's rho, lambda and seed. Item i's outcome is a
+    GridSearchResult holding its best cell: each cell is ranked on the best
+    validation_loss its run reached (the baselines on the loss they train,
+    u2 and lu on absolute error against the observed labels), and ties
+    break toward smaller lambda, then smaller rho, then smaller sigma, then
+    declaration order. A cell whose training fails (a non-finite gradient or
+    parameter) is disqualified but recorded; the outcome is a RuntimeError
+    naming every cell's error only if every cell of the item fails.
+
+    The cells of all items that share a model structure and an
+    optim.block_key train as one optim.train_cells block, possibly across
+    datasets; a cell computes the same floats there as in a search of its
+    item alone. rbf bases are an item's training rows, so rbf cells pool
+    only within an item, one block per sigma. A block stays within
+    POOL_BLOCK_BYTES. Every input that train_cells checks for a block as a
+    whole is shared by its cells, so a block that raises (in model init or
+    in train_cells) fails each of its cells with that error, as a search of
+    their item alone would. Only each item's best result so far is kept
     while the blocks train.
     """
     cells: list[list[CellResult]] = [[] for _ in items]
     best: list = [None] * len(items)  # per item, its best (rank, cell, TrainResult) so far
-    groups: dict[tuple, list] = {}  # a block's key -> its units (item, cells, cfgs)
-    for item, (train_ds, val_ds, template, seed) in enumerate(items):
+    groups: dict[tuple, list] = {}  # a block's key -> its units (item, cells of one sigma)
+    for item, (train_ds, val_ds, template, _) in enumerate(items):
         sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
         rhos = grid.rhos if template.naive_kind is None else (None,)
         lams = grid.lams if template.reg is not None else (0.0,)
@@ -174,13 +152,9 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
             hypers = [Hyperparams(rho=rho, lam=lam, sigma=sigma) for rho in rhos for lam in lams]
             unit_cells = [CellResult(first + i, h, math.inf) for i, h in enumerate(hypers)]
             cells[item].extend(unit_cells)
-            cfgs = [replace(template, rho=c.hyper.rho if c.hyper.rho is not None else template.rho,
-                            lam=c.hyper.lam, seed=derive_seed(seed, "grid-cell", c.index))
-                    for c in unit_cells]
             key = (cell_arch, id(train_ds) if arch.kind == "rbf" else None,
-                   train_ds.dim, val_ds.dim, len(train_ds), len(val_ds),
-                   replace(template, rho=0.0, lam=0.0, seed=0))
-            groups.setdefault(key, []).append((item, unit_cells, cfgs))
+                   block_key(train_ds, val_ds, template))
+            groups.setdefault(key, []).append((item, unit_cells))
     for (cell_arch, *_), units in groups.items():
         _train_group(cell_arch, units, items, best)
     outcomes = []
@@ -201,30 +175,34 @@ def _train_group(arch: ArchSpec, units, items, best) -> None:
     layers = (width, *(arch.hidden if arch.kind == "mlp" else ()), 1)
     n_params = sum((a + 1) * b for a, b in zip(layers, layers[1:])) - (arch.kind == "rbf")
     block, pairs, size = [], set(), 0
-    for item, unit_cells, cfgs in units:
+    for item, unit_cells in units:
         train_ds, val_ds = items[item][:2]
         pair = (id(train_ds), id(val_ds))
         feature_bytes = (len(train_ds) + len(val_ds)) * width * 8
-        param_bytes = PARAM_COPIES * len(cfgs) * n_params * 8
+        param_bytes = PARAM_COPIES * len(unit_cells) * n_params * 8
         if block and size + param_bytes + (pair not in pairs) * feature_bytes > POOL_BLOCK_BYTES:
             _train_block(arch, block, items, best)
             block, pairs, size = [], set(), 0
         size += param_bytes + (pair not in pairs) * feature_bytes
         pairs.add(pair)
-        block.append((item, unit_cells, cfgs))
+        block.append((item, unit_cells))
     _train_block(arch, block, items, best)
 
 
 def _train_block(arch: ArchSpec, units, items, best) -> None:
     """Init and train the units' cells as one block; file each outcome in its search."""
-    owned = [(item, cell) for item, unit_cells, _ in units for cell in unit_cells]
+    owned = [(item, cell) for item, unit_cells in units for cell in unit_cells]
     try:
-        models = [init_model(arch, items[i][0].dim, derive_seed(items[i][3], "grid-init", c.index),
-                             rbf_bases=items[i][0].xs)
-                  for i, c in owned]
+        models, cfgs = [], []
+        for item, cell in owned:
+            train_ds, _, template, seed = items[item]
+            rho = cell.hyper.rho if cell.hyper.rho is not None else template.rho
+            models.append(init_model(arch, train_ds.dim, derive_seed(seed, "grid-init", cell.index),
+                                     rbf_bases=train_ds.xs))
+            cfgs.append(replace(template, rho=rho, lam=cell.hyper.lam,
+                                seed=derive_seed(seed, "grid-cell", cell.index)))
         block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
-        results = train_cells(block, [items[i][:2] for i, _ in owned],
-                              [cfg for *_, cfgs in units for cfg in cfgs])
+        results = train_cells(block, [items[i][:2] for i, _ in owned], cfgs)
     except Exception as exc:  # the block failed as a whole, and so did each of its cells
         results = [exc] * len(owned)
     for (item, cell), result in zip(owned, results):

@@ -8,10 +8,9 @@ train_cells is the only training loop. It trains C cells of one model
 structure, which may differ in rho, lam, seed, initial theta and dataset,
 as one (C, P) parameter block: each step gathers every cell's batch from
 its own training rows, runs one block forward and backward pass and one
-elementwise Adam step. The cells' training sets share one row count and
-their validation sets another. train is its one-cell case. A cell sees
-exactly the floats it would see alone, so a pooled grid search and train
-agree bit for bit.
+elementwise Adam step. block_key states which cells may share a block.
+train is the one-cell case. A cell sees exactly the floats it would see
+alone, so a pooled grid search and train agree bit for bit.
 
 All randomness (shuffles, dropout) is derived from each cell's seed through
 labeled streams, so a run is reproducible from (data, init theta, config)
@@ -148,28 +147,33 @@ class TrainResult:
     stopped_early: bool
 
 
-def train(model, train_ds, val_ds, cfg: TrainConfig, step_callback=None) -> TrainResult:
+def train(model, train_ds, val_ds, cfg: TrainConfig) -> TrainResult:
     """Mini-batch Adam with patience-based early stopping: train_cells for one cell.
 
     Each epoch ends with validation_loss(model, val_ds, cfg); the run stops
     after cfg.patience epochs without a strict improvement on the best value
     so far (the init model's value included). The caller's model is never
     mutated; the result carries a copy holding the best-validation
-    parameters. step_callback, when given, is invoked as
-    step_callback(global_step, model, grad_result) after each update.
-    A non-finite gradient or parameter vector raises FloatingPointError.
+    parameters. A non-finite gradient or parameter vector raises
+    FloatingPointError.
 
     Step s of a model with dropout > 0 (an mlp) draws its masks from
     derive_rng(cfg.seed, "dropout", s). Every other model has no masks to
     draw, so its steps derive no dropout stream and pass rng=None.
     """
-    callback = None if step_callback is None else (
-        lambda _cell, step, cell_model, res: step_callback(step, cell_model, res))
-    (outcome,) = train_cells(model.clone_with_theta(model.theta[None]), [(train_ds, val_ds)],
-                             [cfg], callback)
+    (outcome,) = train_cells(model.clone_with_theta(model.theta[None]), [(train_ds, val_ds)], [cfg])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
+
+
+def block_key(train_ds, val_ds, cfg: TrainConfig) -> tuple:
+    """cfg up to rho, lam and seed, and the (train, val) row and feature counts.
+
+    Cells may share one train_cells block only if their keys are equal.
+    """
+    return (replace(cfg, rho=0.0, lam=0.0, seed=0), len(train_ds), len(val_ds),
+            train_ds.dim, val_ds.dim)
 
 
 def train_cells(block, data, cfgs, step_callback=None) -> list:
@@ -177,9 +181,8 @@ def train_cells(block, data, cfgs, step_callback=None) -> list:
 
     block is one model whose theta holds the cells' initial parameters, one
     row per cell; data holds each cell's (train, val) dataset pair and cfgs
-    its TrainConfig. The cfgs must share every field except rho, lam and
-    seed, every training set must have one row count and every validation
-    set another; otherwise ValueError. The caller's block is never mutated.
+    its TrainConfig. Cells whose block_key differs raise ValueError. The
+    caller's block is never mutated.
     Cell c trains exactly as train would on a model holding block.theta[c]
     with data[c] and cfgs[c]: its own shuffle per epoch, its own dropout
     stream, its own early stopping. The block computes the model features
@@ -196,17 +199,16 @@ def train_cells(block, data, cfgs, step_callback=None) -> list:
     if block.theta.ndim != 2 or not cfgs or not len(cfgs) == len(data) == len(block.theta):
         raise ValueError("train_cells needs a (C, P) theta block with C >= 1, one (train, val) "
                          "pair and one TrainConfig per cell")
+    if len({block_key(tr, va, c) for (tr, va), c in zip(data, cfgs)}) > 1:
+        raise ValueError("cells in one block must share every TrainConfig field but rho, lam and "
+                         "seed, the training and the validation row count and the feature counts")
     cfg = cfgs[0]
-    if any(replace(c, rho=cfg.rho, lam=cfg.lam, seed=cfg.seed) != cfg for c in cfgs[1:]):
-        raise ValueError("cells in one block must share every TrainConfig field but rho, lam and seed")
     unique = {(id(tr), id(va)): (tr, va) for tr, va in data}
     slot = {key: d for d, key in enumerate(unique)}
     where = np.array([slot[id(tr), id(va)] for tr, va in data])
     pairs = list(unique.values())
     trains, vals = [tr for tr, _ in pairs], [va for _, va in pairs]
     n, batch = len(trains[0]), cfg.batch_size
-    if any(len(tr) != n for tr in trains) or any(len(va) != len(vals[0]) for va in vals):
-        raise ValueError("cells in one block must share the training and the validation row count")
     if n < 1:
         raise ValueError("training split must be nonempty")
     if len(vals[0]) < 1:

@@ -691,6 +691,22 @@ def test_benchmark_data_rejects_process_flags(pipeline, capsys):
     assert json.loads(capsys.readouterr().out)["k_list"] == [None]
 
 
+def test_task_is_rejected_where_it_has_no_effect(pipeline, capsys):
+    tmp_path, _data, cor = pipeline
+    out = tmp_path / "task-out"
+    config = tmp_path / "task.json"
+    config.write_text(json.dumps({"task": "high-noise"}))
+    for argv, why in ((["benchmark", "--data", cor, "--methods", "mse"], "with --data"),
+                      (["generate", "--beta", "2", "--n", "20", "--d", "2"], "with --beta"),
+                      (["diagnose", "--beta", "2", "--n-mc", "2000", "--d", "2"], "with --beta")):
+        for given in (["--task", "high-noise"], ["--config", str(config)]):
+            assert run(*argv, *given, "--out", str(out)) == 1, (argv, given)
+            assert f"--task has no effect {why}" in capsys.readouterr().err
+            assert not out.exists()
+    assert run("generate", "--task", "high-noise", "--n", "20", "--d", "2", "--out", str(out)) == 0
+    capsys.readouterr()
+
+
 def test_benchmark_rbf_runs_with_sigma_grid_alone(capsys):
     assert run(
         "benchmark", "--model", "rbf", "--sigma-grid", "1,2", "--n", "60", "--d", "2",
@@ -728,14 +744,19 @@ def test_benchmark_bad_training_settings_exit_one_and_write_nothing(tmp_path, ca
 
 
 def test_benchmark_names_an_empty_test_fold_on_stderr(capsys):
-    # at K = 100 every test row is corrupted: each item fails, the run still exits 0
+    # at K = 100 every test row is corrupted: each item fails, so the run
+    # still writes its report and messages but exits 2
     assert run("benchmark", "--n", "40", "--d", "2", "--folds", "40", "--k", "100",
-               "--methods", "mse", "--max-epochs", "2", "--lam-grid", "0.01") == 0
-    err = capsys.readouterr().err
+               "--methods", "mse", "--max-epochs", "2", "--lam-grid", "0.01") == 2
+    captured = capsys.readouterr()
+    err = captured.err
     assert err.count("no uncorrupted test row to score") == 40
     assert ("benchmark item failed: seed=0 k=100.0 fold=0 method=mse: "
             "no uncorrupted test row to score") in err
     assert "0 summaries" in err
+    assert err.endswith("runtime failure: every benchmark item failed\n")
+    payload = json.loads(captured.out)
+    assert payload["summaries"] == [] and len(payload["errors"]) == 40
 
 
 def test_benchmark_beta_and_corruption_scale_reach_the_report(capsys):

@@ -18,7 +18,6 @@ from u2reg import (
     corrupt,
     estimate_eta_xi_delta,
     generate_uncorrupted,
-    grid_search,
     init_model,
     mae,
     mean_signed_error,
@@ -136,7 +135,7 @@ def test_grid_search_single_cell():
     tr_s, va_s, _ = small_corruption_splits()
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(1.0,))
     template = TrainConfig("mse", max_epochs=10, seed=1)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=1)
+    (out,) = pooled_grid_search([(tr_s, va_s, template, 1)], ArchSpec("linear"), grid)
     assert len(out.cells) == 1
     assert out.best == Hyperparams(rho=None, lam=0.01, sigma=None)
     assert out.cells[0].val_loss == out.best_result.best_val_loss
@@ -147,7 +146,7 @@ def test_grid_search_picks_the_lowest_validation_cell():
     # an absurd penalty pins the second cell near zero, so the small one wins
     grid = GridSpec(rhos=(1.0,), lams=(1e-3, 1e3), sigmas=(1.0,))
     template = TrainConfig("mse", max_epochs=40, patience=40, seed=2)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=2)
+    (out,) = pooled_grid_search([(tr_s, va_s, template, 2)], ArchSpec("linear"), grid)
     assert out.best.lam == 1e-3
     vals = [c.val_loss for c in out.cells]
     assert min(vals) == out.best_result.best_val_loss
@@ -159,7 +158,7 @@ def test_grid_search_tie_breaks_toward_smaller_lam_then_rho():
     tr_s, va_s, _ = small_corruption_splits(seed=57)
     grid = GridSpec(rhos=(1.0, 0.1), lams=(0.01, 0.001), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=0, seed=3)
-    out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=3)
+    (out,) = pooled_grid_search([(tr_s, va_s, template, 3)], ArchSpec("linear"), grid)
     assert len(out.cells) == 4
     assert out.best == Hyperparams(rho=0.1, lam=0.001, sigma=None)
 
@@ -169,7 +168,7 @@ def test_grid_search_chosen_cell_close_to_best_on_clean_test():
     grid = GridSpec(rhos=(0.1, 1.0), lams=(1e-3, 1e-1), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=120, patience=120, seed=9)
     arch = ArchSpec("linear")
-    search = grid_search(tr_s, va_s, arch, grid, template, seed=9)
+    (search,) = pooled_grid_search([(tr_s, va_s, template, 9)], arch, grid)
     chosen = mae(te_s.ys_true, predict(search.best_result.model, te_s.xs))
     cell_maes = []
     index = 0
@@ -189,7 +188,7 @@ def test_grid_search_rbf_expands_sigma_axis():
     tr_s, va_s, _ = small_corruption_splits(seed=58, n=120)
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(0.5, 2.0))
     template = TrainConfig("mse", max_epochs=2, seed=4)
-    out = grid_search(tr_s, va_s, ArchSpec("rbf", sigma=1.0), grid, template, seed=4)
+    (out,) = pooled_grid_search([(tr_s, va_s, template, 4)], ArchSpec("rbf", sigma=1.0), grid)
     assert len(out.cells) == 2
     assert sorted(c.hyper.sigma for c in out.cells) == [0.5, 2.0]
     assert out.best.sigma in (0.5, 2.0)
@@ -214,7 +213,7 @@ def test_grid_search_isolates_failing_cells():
     grid = GridSpec(rhos=(1.0, 1e308), lams=(0.01,), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=2, seed=5)
     with np.errstate(all="ignore"):
-        out = grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=5)
+        (out,) = pooled_grid_search([(tr_s, va_s, template, 5)], ArchSpec("linear"), grid)
     failed = [c for c in out.cells if c.error is not None]
     assert len(failed) == 1
     assert failed[0].hyper.rho == 1e308
@@ -228,8 +227,9 @@ def test_grid_search_raises_when_every_cell_fails():
     grid = GridSpec(rhos=(1e308,), lams=(0.01, 0.001), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=2, seed=6)
     with np.errstate(all="ignore"):
-        with pytest.raises(RuntimeError, match="every grid cell failed"):
-            grid_search(tr_s, va_s, ArchSpec("linear"), grid, template, seed=6)
+        (out,) = pooled_grid_search([(tr_s, va_s, template, 6)], ArchSpec("linear"), grid)
+    assert isinstance(out, RuntimeError)
+    assert str(out).startswith("every grid cell failed: cell 0: FloatingPointError(")
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +426,7 @@ def _fold_sets(task, seed, k, folds):
 
 
 def _assert_folds_replay_alone(n, arch, sigmas):
-    """Every (K, fold) u2 item of a pooled benchmark scores as a solo grid_search."""
+    """Every (K, fold) u2 item of a pooled benchmark scores as a search of that item alone."""
     task = BenchmarkTask.named("low-noise", n=n, d=3)
     grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=sigmas)
     seed, k_list, method = 4, [25.0, 50.0], "u2"
@@ -442,7 +442,7 @@ def _assert_folds_replay_alone(n, arch, sigmas):
             template = TrainConfig(
                 method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
             )
-            search = grid_search(tr_s, va_s, arch, grid, template, seed=run_seed)
+            (search,) = pooled_grid_search([(tr_s, va_s, template, run_seed)], arch, grid)
             preds = predict(search.best_result.model, te_s.xs)
             assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
             assert (summary.fold_signed[fold]
@@ -471,13 +471,12 @@ def test_pooled_search_isolates_an_item_whose_training_diverges():
         items.append((tr_s, va_s, TrainConfig("u2", max_epochs=4, patience=4, seed=fold), fold))
     with np.errstate(all="ignore"):
         outcomes = pooled_grid_search(items, ArchSpec("linear"), grid)
-        with pytest.raises(RuntimeError, match="every grid cell failed") as alone:
-            grid_search(*items[1][:2], ArchSpec("linear"), grid, *items[1][2:])
-    assert isinstance(outcomes[1], RuntimeError)
-    assert str(outcomes[1]) == str(alone.value)
+        (alone,) = pooled_grid_search(items[1:2], ArchSpec("linear"), grid)
+    assert isinstance(outcomes[1], RuntimeError) and isinstance(alone, RuntimeError)
+    assert str(outcomes[1]) == str(alone)
     assert "non-finite gradient at epoch 0, step 0" in str(outcomes[1])
     for item in (0, 2):
-        solo = grid_search(*items[item][:2], ArchSpec("linear"), grid, *items[item][2:])
+        (solo,) = pooled_grid_search(items[item:item + 1], ArchSpec("linear"), grid)
         assert outcomes[item].best == solo.best
         assert np.array_equal(outcomes[item].best_result.model.theta, solo.best_result.model.theta)
         assert ([(c.hyper, c.val_loss, c.error) for c in outcomes[item].cells]
@@ -499,7 +498,7 @@ def test_pooled_search_isolates_an_item_with_a_narrower_validation_set():
         "every grid cell failed: cell 0: ValueError('expected 3 features, got 2'); "
         "cell 1: ValueError('expected 3 features, got 2')"
     )
-    solo = grid_search(tr0, va0, ArchSpec("linear"), grid, *items[0][2:])
+    (solo,) = pooled_grid_search(items[:1], ArchSpec("linear"), grid)
     assert outcomes[0].best == solo.best
     assert np.array_equal(outcomes[0].best_result.model.theta, solo.best_result.model.theta)
     assert ([(c.hyper, c.val_loss, c.error) for c in outcomes[0].cells]
@@ -511,10 +510,11 @@ def test_grid_search_names_every_cell_of_blocks_that_fail_as_a_whole():
     # model init, before train_cells runs
     empty = Dataset(np.zeros((20, 0)), np.zeros(20))
     grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(0.5, 2.0))
-    with pytest.raises(RuntimeError) as failed:
-        grid_search(empty, empty, ArchSpec("rbf", sigma=1.0), grid, TrainConfig("u2"), seed=3)
+    (failed,) = pooled_grid_search([(empty, empty, TrainConfig("u2"), 3)],
+                                   ArchSpec("rbf", sigma=1.0), grid)
+    assert isinstance(failed, RuntimeError)
     error = "ValueError('input_dim must be a positive integer')"
-    assert str(failed.value) == "every grid cell failed: " + "; ".join(
+    assert str(failed) == "every grid cell failed: " + "; ".join(
         f"cell {i}: {error}" for i in range(4))
 
 

@@ -208,7 +208,8 @@ def test_restored_model_matches_best_epoch_not_last():
     thetas = []
     cfg = mse_cfg(lr=0.05, max_epochs=40, patience=40,
                   batch_size=80, seed=1)
-    res = train(LinearModel(2), ds, val, cfg, step_callback=lambda s, m, g: thetas.append(m.theta.copy()))
+    (res,) = train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, val)], [cfg],
+                         step_callback=lambda c, s, m, g: thetas.append(m.theta.copy()))
     assert res.best_epoch >= 0
     assert np.array_equal(res.model.theta, thetas[res.best_epoch])  # one step per epoch here
     val_at_best = float(np.mean((predict(res.model, val.xs) - val.ys_prime) ** 2))
@@ -253,9 +254,9 @@ def test_patience_counts_epochs_without_improvement():
 def test_full_batch_runs_one_step_per_epoch():
     ds = make_dataset(25, 2, seed=7)
     steps = []
-    train(LinearModel(2), ds, ds,
-          mse_cfg(max_epochs=4, patience=100, batch_size=25, seed=0),
-          step_callback=lambda s, m, g: steps.append(s))
+    train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, ds)],
+                [mse_cfg(max_epochs=4, patience=100, batch_size=25, seed=0)],
+                step_callback=lambda c, s, m, g: steps.append(s))
     assert steps == [0, 1, 2, 3]
 
 
@@ -271,8 +272,8 @@ def test_partition_is_refreshed_from_the_current_model():
     cfg = TrainConfig(method="u2", spec=SQ_ABS, rho=1.0, lam=0.0,
                       lr=0.05, batch_size=40, max_epochs=60,
                       patience=60, seed=0)
-    train(LinearModel(2), ds, ds, cfg,
-          step_callback=lambda s, m, g: masks.append(g.trusted.copy()))
+    train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, ds)], [cfg],
+                step_callback=lambda c, s, m, g: masks.append(g.trusted.copy()))
     assert masks[0].all()
     assert not masks[-1].all()
     assert masks[-1].any()
@@ -453,3 +454,9 @@ def test_train_cells_rejects_mixed_blocks():
     for data in ([(ds, ds), (shorter, ds)], [(ds, ds), (ds, shorter)]):
         with pytest.raises(ValueError, match="row count"):
             train_cells(pair, data, [u2, u2])
+    # validation sets of two feature counts: the block rule fires before
+    # the model's own feature check could
+    wider = make_dataset(20, 3, seed=21)
+    small_batch = TrainConfig("u2", max_epochs=1, batch_size=4)
+    with pytest.raises(ValueError, match="feature counts"):
+        train_cells(pair, [(ds, ds), (ds, wider)], [small_batch, small_batch])
