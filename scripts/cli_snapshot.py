@@ -6,14 +6,15 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config (one benchmark takes its lists as JSON lists),
-stdout output, each subcommand's --help (at 100 columns) and fourteen rejected
+stdout output, each subcommand's --help (at 100 columns) and eighteen rejected
 invocations (names starting with "reject-", which exit 1). The benchmark
 runs also reach the training engine's early stopping (all five methods,
 patience 2), rbf grids over two sigmas, an mlp grid with dropout, a grid
 with one failing rho = 1e308 cell, (K, fold) items that train on 64 or 65
 rows, so their pooled grid search forms blocks of two row counts, folds
-whose test block keeps no uncorrupted row, and a run that scores no item
-at all (benchmark-every-item-fails, which exits 2).
+whose test block keeps no uncorrupted row, a run that scores no item
+at all (benchmark-every-item-fails, which exits 2) and per-K point files
+in a directory whose name holds a dot.
 Warnings are written as "Category: message" lines without their source
 location, which differs between checkouts. Run it once per checkout into
 two directories and compare them with `diff -r`: a refactor that keeps the
@@ -87,6 +88,10 @@ RUNS = [
     ("benchmark-every-item-fails", ["benchmark", "--n", "40", "--d", "2", "--folds", "40",
                                     "--k", "100", "--methods", "mse", "--max-epochs", "2",
                                     "--lam-grid", "0.01", "--out", "bench-every-fails.json"]),
+    ("benchmark-points-dotted-dir", ["benchmark", "--n", "90", "--d", "2", "--folds", "2",
+                                     "--k", "25,50", "--methods", "mse", "--max-epochs", "2",
+                                     "--lam-grid", "0.01", "--out", "bench-dotted.json",
+                                     "--points", "points.d/pts.csv"]),
     ("diagnose", ["diagnose", "--d", "3", "--k", "50", "--n-mc", "5000", "--seed", "7",
                   "--out", "diagnose.json"]),
     ("diagnose-model-stdout", ["diagnose", "--d", "3", "--n-mc", "5000", "--model-file", "mse.json"]),
@@ -117,6 +122,15 @@ RUNS = [
                                          "--methods", "mse", "--out", "reject-task.json"]),
     ("reject-generate-task-with-beta", ["generate", "--task", "high-noise", "--beta", "2",
                                         "--out", "reject-task.csv"]),
+    ("reject-benchmark-empty-methods", ["benchmark", "--n", "40", "--d", "2", "--folds", "2",
+                                        "--methods", "", "--out", "reject-methods.json"]),
+    ("reject-benchmark-empty-k", ["benchmark", "--n", "40", "--d", "2", "--folds", "2",
+                                  "--k", "", "--out", "reject-k.json"]),
+    ("reject-predict-non-finite-csv", ["predict", "--data", "non-finite.csv",
+                                       "--model-file", "u2.json", "--out", "reject-nan.csv"]),
+    ("reject-predict-non-finite-model", ["predict", "--data", "cor.csv",
+                                         "--model-file", "non-finite-model.json",
+                                         "--out", "reject-nan-model.csv"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {
@@ -128,7 +142,11 @@ INPUTS = {
     "path-not-string.json": {"out": 5},
     "flag-not-boolean.json": {"no_standardize": "false"},
     "names-config.json": {"config": "missing.json", "n": 20},
+    # json writes the NaN token, which json reads back as a float
+    "non-finite-model.json": {"format_version": 1, "kind": "linear", "input_dim": 3,
+                              "theta": [0.5, float("nan"), 0.0, 1.0]},
 }
+TEXTS = {"non-finite.csv": "1,2,3\n0.5,nan,1.5\n"}
 
 
 def _show_warning(message, category, filename, lineno, file=None, line=None):
@@ -143,6 +161,10 @@ def main(out: str) -> None:
     for name, content in INPUTS.items():
         with open(name, "w", encoding="utf-8") as fh:
             json.dump(content, fh)
+    for name, text in TEXTS.items():
+        with open(name, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    os.makedirs("points.d", exist_ok=True)  # benchmark-points-dotted-dir writes into it
     for name, argv in RUNS:
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -224,7 +225,7 @@ ARG_TABLE = {
     "benchmark": {
         "help": "corruption-robustness benchmark over methods and K values",
         "args": _COMMON + [
-            _arg("--task", **_TASK, help="low-noise | high-noise (ignored when --data is given)"),
+            _arg("--task", **_TASK, help="low-noise | high-noise (not with --data)"),
             _arg("--data", type=str, default=None, help="external CSV task"),
             _arg("--methods", type=_NAMES, default="u2,mse",
                  help="comma list from u2,lu,mse,mae,huber"),
@@ -467,11 +468,19 @@ def _reg_from(opts: dict) -> str | None:
     return None if opts["reg"] == "none" else opts["reg"]
 
 
+def _finite(path: str, what: str, values: np.ndarray) -> np.ndarray:
+    """values read from the file at path; what names them in the error."""
+    if not np.isfinite(values).all():
+        raise CliError(f"{path}: {what} holds a non-finite number")
+    return values
+
+
 def _load_raw_input_model(path: str):
     """A saved model whose features() first applies the standardization train stored."""
     model, payload = load_model(path)
     if payload.get("standardized_features"):
-        stats = FeatureStats(*(np.asarray(payload[key], dtype=float)
+        stats = FeatureStats(*(_finite(path, f"model file field {key!r}",
+                                       np.asarray(payload[key], dtype=float))
                                for key in ("feature_mean", "feature_std")))
         fitted_features = model.features
         model.features = lambda X: fitted_features(stats.apply(X))
@@ -539,6 +548,7 @@ def _run_predict(opts: dict) -> int:
     header, xs = read_table(data_path)
     if header and "y_prime" in header:
         xs = Dataset.from_table(header, xs).xs
+    _finite(data_path, "the feature table", xs)
     if xs.shape[1] != model.input_dim:
         raise CliError(
             f"feature count mismatch: data has {xs.shape[1]} features, "
@@ -552,6 +562,9 @@ def _run_predict(opts: dict) -> int:
 
 
 def _run_benchmark(opts: dict) -> int:
+    for flag in ("--methods", "--k"):
+        if not opts[flag[2:]]:
+            raise CliError(f"{flag} must list at least one value")
     if opts["data"]:
         task, k_list = BenchmarkTask.from_csv(opts["data"]), [0.0]
     else:
@@ -576,9 +589,8 @@ def _run_benchmark(opts: dict) -> int:
         for k in report.k_list:
             path = opts["points"]
             if len(report.k_list) > 1:
-                stem, dot, ext = path.rpartition(".")
-                suffix = f"-k{k:g}"
-                path = f"{stem}{suffix}{dot}{ext}" if dot else f"{path}{suffix}"
+                stem, ext = os.path.splitext(path)
+                path = f"{stem}-k{k:g}{ext}"
             atomic_write_text(path, report.to_points_csv(k))
     for err in report.errors:
         _info(f"benchmark item failed: {err}")
@@ -622,6 +634,7 @@ def _run_features(opts: dict) -> int:
         _, series = read_table(data_path)
     except OSError as exc:
         raise CliError(f"cannot read {data_path}: {exc}")
+    _finite(data_path, "the series", series)
     feats = window_features(series, opts["window"], opts["stride"])
     n_channels = feats.shape[1] // len(WINDOW_STATS)
     header = [f"ch{c}_{stat}" for c in range(n_channels) for stat in WINDOW_STATS]

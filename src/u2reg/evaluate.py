@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -80,9 +80,6 @@ class Hyperparams:
     lam: float = 0.0
     sigma: float | None = None
 
-    def as_dict(self) -> dict:
-        return {"rho": self.rho, "lam": self.lam, "sigma": self.sigma}
-
 
 @dataclass
 class CellResult:
@@ -114,19 +111,21 @@ a 256-cell block of 31,501-parameter mlp cells peaked at 1,024 MB."""
 
 
 def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
-    """The grid search of each (train_ds, val_ds, template, seed) item, trained together.
+    """The grid search of each (train_ds, val_ds, template) item, trained together.
 
     An item's grid is the Cartesian product of sigma (rbf models only), rho
     (u2 and lu only) and lambda (0 alone without a regularizer, whose lambda
     weighs nothing). Each cell trains template (its method, losses and loop
-    settings) with the cell's rho, lambda and seed. Item i's outcome is a
-    GridSearchResult holding its best cell: each cell is ranked on the best
-    validation_loss its run reached (the baselines on the loss they train,
-    u2 and lu on absolute error against the observed labels), and ties
-    break toward smaller lambda, then smaller rho, then smaller sigma, then
-    declaration order. A cell whose training fails (a non-finite gradient or
-    parameter) is disqualified but recorded; the outcome is a RuntimeError
-    naming every cell's error only if every cell of the item fails.
+    settings) with the cell's rho and lambda. template.seed is the item's
+    only seed: each cell derives its init and training seeds from it and the
+    cell's index. Item i's outcome is a GridSearchResult holding its best
+    cell: each cell is ranked on the best validation_loss its run reached
+    (the baselines on the loss they train, u2 and lu on absolute error
+    against the observed labels), and ties break toward smaller lambda,
+    then smaller rho, then smaller sigma, then declaration order. A cell
+    whose training fails (a non-finite gradient or parameter) is
+    disqualified but recorded; the outcome is a RuntimeError naming every
+    cell's error only if every cell of the item fails.
 
     The cells of all items that share a model structure and an
     optim.block_key train as one optim.train_cells block, possibly across
@@ -142,7 +141,7 @@ def pooled_grid_search(items, arch: ArchSpec, grid: GridSpec) -> list:
     cells: list[list[CellResult]] = [[] for _ in items]
     best: list = [None] * len(items)  # per item, its best (rank, cell, TrainResult) so far
     groups: dict[tuple, list] = {}  # a block's key -> its units (item, cells of one sigma)
-    for item, (train_ds, val_ds, template, _) in enumerate(items):
+    for item, (train_ds, val_ds, template) in enumerate(items):
         sigmas = grid.sigmas if arch.kind == "rbf" else (None,)
         rhos = grid.rhos if template.naive_kind is None else (None,)
         lams = grid.lams if template.reg is not None else (0.0,)
@@ -195,12 +194,13 @@ def _train_block(arch: ArchSpec, units, items, best) -> None:
     try:
         models, cfgs = [], []
         for item, cell in owned:
-            train_ds, _, template, seed = items[item]
+            train_ds, _, template = items[item]
             rho = cell.hyper.rho if cell.hyper.rho is not None else template.rho
-            models.append(init_model(arch, train_ds.dim, derive_seed(seed, "grid-init", cell.index),
+            models.append(init_model(arch, train_ds.dim,
+                                     derive_seed(template.seed, "grid-init", cell.index),
                                      rbf_bases=train_ds.xs))
             cfgs.append(replace(template, rho=rho, lam=cell.hyper.lam,
-                                seed=derive_seed(seed, "grid-cell", cell.index)))
+                                seed=derive_seed(template.seed, "grid-cell", cell.index)))
         block = models[0].clone_with_theta(np.stack([m.theta for m in models]))
         results = train_cells(block, [items[i][:2] for i, _ in owned], cfgs)
     except Exception as exc:  # the block failed as a whole, and so did each of its cells
@@ -299,7 +299,8 @@ class BenchmarkReport:
     k_list: list[float | None]
     summaries: list[MethodSummary]
     errors: list[str]
-    points: list[dict] = field(default_factory=list, repr=False)
+    # per K, the (y_true, y_pred, error, method) rows that to_points_csv writes
+    points: dict[float | None, list[tuple]] = field(default_factory=dict, repr=False)
 
     def summary(self, method: str, k: float | None) -> MethodSummary:
         for s in self.summaries:
@@ -332,10 +333,8 @@ class BenchmarkReport:
         return "\n".join(lines) + "\n"
 
     def to_points_csv(self, k: float | None) -> str:
-        rows = [(p["y_true"], p["y_pred"], p["error"], p["method"])
-                for p in self.points if p["k"] == k]
         return table_text(["index", "y_true", "y_pred", "error", "method"],
-                          ((i,) + row for i, row in enumerate(rows)))
+                          ((i,) + row for i, row in enumerate(self.points[k])))
 
 
 def _hyper_text(h: dict) -> str:
@@ -378,14 +377,13 @@ def run_benchmark(
     generated or loaded once. Per K: corrupt, split into folds and
     feature-standardize each fold. One pooled_grid_search runs the grid
     search of every (K, method, fold) item, so their cells train as few
-    blocks, and each item's chosen model is scored on the fold's clean-only
-    test rows, in that same order. Synthetic scores are against ys_true;
-    CSV tasks without a y_true column fall back to ys_prime and say so in
-    target_label. An item whose search or scoring fails, or whose test
-    block kept no uncorrupted row (then no cell trains for it), is recorded
-    in errors and the run continues. Synthetic K values are coerced to float,
-    so 50 and 50.0 draw the same streams; a repeated method or K is
-    rejected.
+    blocks, and each item's chosen model is scored on its fold's clean-only
+    test rows. Synthetic scores are against ys_true; CSV tasks without a
+    y_true column fall back to ys_prime and say so in target_label. An item
+    whose search or scoring fails, or whose test block kept no uncorrupted
+    row (then no cell trains for it), is recorded in errors and the run
+    continues. Synthetic K values are coerced to float, so 50 and 50.0 draw
+    the same streams; a repeated method or K is rejected.
     """
     grid = grid or GridSpec()
     arch = arch or ArchSpec("linear")
@@ -411,68 +409,62 @@ def run_benchmark(
     target_label = "y_true" if data.ys_true is not None else "y_prime"
     scale = task.label_scale
 
-    fold_sets = []
+    items = []  # one grid search per (K, method, fold) whose test block kept a row
+    slots: dict[tuple, list] = {}  # (K, method) -> per fold: (fold, test rows, item index or None)
     for k in k_list:
         ds = data
         if task.is_synthetic:
             ds = corrupt(data, replace(process, k_percent=k),
                          derive_seed(seed, "benchmark-corrupt", task.name, k))
         splits = split_cv(ds, folds, val_fraction, derive_seed(seed, "benchmark-splits", task.name))
-        fold_sets.append([standardize(tr, (va, te)) for tr, va, te in splits])
-
-    items = []
-    for k, sets in zip(k_list, fold_sets):
+        sets = [standardize(tr, (va, te)) for tr, va, te in splits]
         for method in methods:
             for fold, (tr_s, (va_s, te_s), _) in enumerate(sets):
-                if not len(te_s):
-                    continue  # nothing to score: no cell trains, an error is recorded below
-                run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
-                template = replace(templates[method], batch_size=min(batch_size, len(tr_s)),
-                                   seed=run_seed)
-                items.append((tr_s, va_s, template, run_seed))
-    searches = iter(pooled_grid_search(items, arch, grid))
+                index = None  # nothing to score: no cell trains, an error is recorded below
+                if len(te_s):
+                    index = len(items)
+                    run_seed = derive_seed(seed, "benchmark-train", task.name, k, fold, method)
+                    items.append((tr_s, va_s, replace(templates[method], seed=run_seed,
+                                                      batch_size=min(batch_size, len(tr_s)))))
+                slots.setdefault((k, method), []).append((fold, te_s, index))
+    searches = pooled_grid_search(items, arch, grid)
 
     summaries: list[MethodSummary] = []
-    points: list[dict] = []
+    points: dict[float | None, list[tuple]] = {k: [] for k in k_list}
     errors: list[str] = []
-    for k, sets in zip(k_list, fold_sets):
-        for method in methods:
-            maes, signed, maes_raw, hyper = [], [], [], []
-            for fold, (_tr, (_va, te_s), _) in enumerate(sets):
-                where = f"seed={seed} k={k} fold={fold} method={method}"
-                if not len(te_s):
-                    errors.append(f"{where}: no uncorrupted test row to score")
-                    continue
-                search = next(searches)
-                try:
-                    if isinstance(search, Exception):
-                        raise search
-                    preds = predict(search.best_result.model, te_s.xs)
-                    target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
-                    fold_mae = mae(target, preds)
-                    fold_signed = mean_signed_error(target, preds)
-                except Exception as exc:
-                    errors.append(f"{where}: {exc!r}")
-                    continue
-                maes.append(fold_mae / scale)
-                signed.append(fold_signed / scale)
-                maes_raw.append(fold_mae)
-                hyper.append(search.best.as_dict())
-                points.extend(
-                    {"k": k, "method": method, "fold": fold, "seed": seed,
-                     "y_true": float(t) / scale, "y_pred": float(p) / scale,
-                     "error": float(p - t) / scale}
-                    for t, p in zip(target, preds)
-                )
-            if not maes:
+    for (k, method), fold_slots in slots.items():
+        maes, signed, maes_raw, hyper = [], [], [], []
+        for fold, te_s, index in fold_slots:
+            where = f"seed={seed} k={k} fold={fold} method={method}"
+            if index is None:
+                errors.append(f"{where}: no uncorrupted test row to score")
                 continue
-            mean_m, se_m = _mean_se(maes)
-            mean_s, se_s = _mean_se(signed)
-            summaries.append(MethodSummary(
-                method=method, k=k, fold_maes=maes, fold_signed=signed,
-                fold_maes_raw=maes_raw, fold_hyper=hyper,
-                mean_mae=mean_m, se_mae=se_m, mean_signed=mean_s, se_signed=se_s,
-            ))
+            search = searches[index]
+            try:
+                if isinstance(search, Exception):
+                    raise search
+                preds = predict(search.best_result.model, te_s.xs)
+                target = te_s.ys_true if target_label == "y_true" else te_s.ys_prime
+                fold_mae = mae(target, preds)
+                fold_signed = mean_signed_error(target, preds)
+            except Exception as exc:
+                errors.append(f"{where}: {exc!r}")
+                continue
+            maes.append(fold_mae / scale)
+            signed.append(fold_signed / scale)
+            maes_raw.append(fold_mae)
+            hyper.append(asdict(search.best))
+            points[k].extend((float(t) / scale, float(p) / scale, float(p - t) / scale, method)
+                             for t, p in zip(target, preds))
+        if not maes:
+            continue
+        mean_m, se_m = _mean_se(maes)
+        mean_s, se_s = _mean_se(signed)
+        summaries.append(MethodSummary(
+            method=method, k=k, fold_maes=maes, fold_signed=signed,
+            fold_maes_raw=maes_raw, fold_hyper=hyper,
+            mean_mae=mean_m, se_mae=se_m, mean_signed=mean_s, se_signed=se_s,
+        ))
     errors.sort()
 
     return BenchmarkReport(

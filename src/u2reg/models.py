@@ -407,9 +407,19 @@ def save_model(model: Model, path: str, extra: dict | None = None) -> None:
 
 
 def load_model(path: str) -> tuple[Model, dict]:
+    """The model a save_model file holds, and the file's whole payload.
+
+    json reads NaN, Infinity and overflowing literals such as 1e400 as
+    non-finite floats; a model whose theta or bases hold one raises.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         payload = json.load(fh)
-    return model_from_payload(payload), payload
+    model = model_from_payload(payload)
+    for key in ("theta", "bases"):
+        values = getattr(model, key, None)
+        if values is not None and not np.isfinite(values).all():
+            raise ValueError(f"{path}: model file field {key!r} holds a non-finite number")
+    return model, payload
 
 
 def atomic_write_text(path: str, text: str) -> None:

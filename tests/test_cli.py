@@ -357,6 +357,37 @@ def test_non_finite_numbers_exit_one_and_leave_no_file(pipeline, capsys):
     capsys.readouterr()
 
 
+def test_non_finite_inputs_exit_one_naming_the_file(pipeline, capsys):
+    # a dataset CSV with these values was already rejected; a plain CSV, a
+    # series and a model file (json reads NaN and Infinity) were not
+    tmp_path, _data, cor = pipeline
+    out = str(tmp_path / "out.csv")
+    plain = str(tmp_path / "plain.csv")
+    model_path = str(tmp_path / "rbf.json")
+    assert run("train", "--data", cor, "--model", "rbf", "--sigma", "1", "--max-epochs", "1",
+               "--out", model_path) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    for value in ("nan", "inf", "1e400"):
+        with open(plain, "w") as fh:
+            fh.write(f"1.0,2.0,3.0\n0.5,{value},1.5\n")
+        assert run("predict", "--data", plain, "--model-file", model_path, "--out", out) == 1, value
+        assert f"{plain}: the feature table holds a non-finite number" in capsys.readouterr().err
+        assert run("features", "--data", plain, "--window", "2", "--out", out) == 1, value
+        assert f"{plain}: the series holds a non-finite number" in capsys.readouterr().err
+    bad_model = str(tmp_path / "bad.json")
+    for key in ("theta", "bases", "feature_mean", "feature_std"):
+        for value in (math.nan, math.inf):
+            values = np.asarray(payload[key], dtype=float)
+            values.flat[-1] = value
+            with open(bad_model, "w", encoding="utf-8") as fh:
+                json.dump({**payload, key: values.tolist()}, fh)
+            assert run("predict", "--data", cor, "--model-file", bad_model, "--out", out) == 1
+            assert (f"{bad_model}: model file field {key!r} holds a non-finite number"
+                    in capsys.readouterr().err), (key, value)
+    assert not os.path.exists(out)
+
+
 def test_train_with_non_finite_parameters_exits_two_and_writes_no_model(tmp_path, capsys):
     # lr 1e308 overflows theta on the first step; before the parameter check
     # this run exited 0 and saved the init theta
@@ -574,6 +605,17 @@ def test_benchmark_points_one_file_per_k(tmp_path, capsys):
     assert os.path.exists(str(tmp_path / "pts-k25.csv"))
     assert os.path.exists(str(tmp_path / "pts-k50.csv"))
     assert not os.path.exists(points)
+    # only the file name's extension moves behind the suffix, never a dot in a directory
+    os.mkdir(tmp_path / "out.d")
+    for name in ("pts", "pts.csv"):
+        assert run(
+            "benchmark", "--n", "90", "--d", "2", "--folds", "2", "--methods", "mse",
+            "--k", "25,50", "--max-epochs", "1", "--patience", "1", "--lam-grid", "0.01",
+            "--points", str(tmp_path / "out.d" / name),
+        ) == 0
+    assert sorted(os.listdir(tmp_path / "out.d")) == ["pts-k25", "pts-k25.csv", "pts-k50",
+                                                      "pts-k50.csv"]
+    capsys.readouterr()
 
 
 def test_benchmark_stdout_report(capsys):
@@ -727,6 +769,19 @@ def test_benchmark_repeated_method_or_k_exits_one(capsys):
     assert run("benchmark", "--methods", "u2", "--k", "50", "--lam-grid", "0.1,0.1",
                "--rho-grid", "1,1", *small) == 1
     assert "must be a nonempty tuple of distinct positive finite reals" in capsys.readouterr().err
+
+
+def test_benchmark_empty_methods_or_k_exits_one_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "rep.json"
+    small = ["--n", "40", "--d", "2", "--folds", "2", "--max-epochs", "2", "--lam-grid", "0.01",
+             "--out", str(out)]
+    config = tmp_path / "lists.json"
+    for key, flag in (("methods", "--methods"), ("k", "--k")):
+        config.write_text(json.dumps({key: []}))
+        for given in ([flag, ""], [flag, ","], ["--config", str(config)]):
+            assert run("benchmark", *given, *small) == 1, given
+            assert f"{flag} must list at least one value" in capsys.readouterr().err
+            assert not out.exists()
 
 
 def test_benchmark_bad_training_settings_exit_one_and_write_nothing(tmp_path, capsys):

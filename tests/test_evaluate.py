@@ -1,6 +1,6 @@
 """Metrics, grid search, benchmark pipeline, and bias-floor estimation."""
 
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -135,7 +135,7 @@ def test_grid_search_single_cell():
     tr_s, va_s, _ = small_corruption_splits()
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(1.0,))
     template = TrainConfig("mse", max_epochs=10, seed=1)
-    (out,) = pooled_grid_search([(tr_s, va_s, template, 1)], ArchSpec("linear"), grid)
+    (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
     assert len(out.cells) == 1
     assert out.best == Hyperparams(rho=None, lam=0.01, sigma=None)
     assert out.cells[0].val_loss == out.best_result.best_val_loss
@@ -146,7 +146,7 @@ def test_grid_search_picks_the_lowest_validation_cell():
     # an absurd penalty pins the second cell near zero, so the small one wins
     grid = GridSpec(rhos=(1.0,), lams=(1e-3, 1e3), sigmas=(1.0,))
     template = TrainConfig("mse", max_epochs=40, patience=40, seed=2)
-    (out,) = pooled_grid_search([(tr_s, va_s, template, 2)], ArchSpec("linear"), grid)
+    (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
     assert out.best.lam == 1e-3
     vals = [c.val_loss for c in out.cells]
     assert min(vals) == out.best_result.best_val_loss
@@ -158,7 +158,7 @@ def test_grid_search_tie_breaks_toward_smaller_lam_then_rho():
     tr_s, va_s, _ = small_corruption_splits(seed=57)
     grid = GridSpec(rhos=(1.0, 0.1), lams=(0.01, 0.001), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=0, seed=3)
-    (out,) = pooled_grid_search([(tr_s, va_s, template, 3)], ArchSpec("linear"), grid)
+    (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
     assert len(out.cells) == 4
     assert out.best == Hyperparams(rho=0.1, lam=0.001, sigma=None)
 
@@ -168,7 +168,7 @@ def test_grid_search_chosen_cell_close_to_best_on_clean_test():
     grid = GridSpec(rhos=(0.1, 1.0), lams=(1e-3, 1e-1), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=120, patience=120, seed=9)
     arch = ArchSpec("linear")
-    (search,) = pooled_grid_search([(tr_s, va_s, template, 9)], arch, grid)
+    (search,) = pooled_grid_search([(tr_s, va_s, template)], arch, grid)
     chosen = mae(te_s.ys_true, predict(search.best_result.model, te_s.xs))
     cell_maes = []
     index = 0
@@ -188,7 +188,7 @@ def test_grid_search_rbf_expands_sigma_axis():
     tr_s, va_s, _ = small_corruption_splits(seed=58, n=120)
     grid = GridSpec(rhos=(1.0,), lams=(0.01,), sigmas=(0.5, 2.0))
     template = TrainConfig("mse", max_epochs=2, seed=4)
-    (out,) = pooled_grid_search([(tr_s, va_s, template, 4)], ArchSpec("rbf", sigma=1.0), grid)
+    (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("rbf", sigma=1.0), grid)
     assert len(out.cells) == 2
     assert sorted(c.hyper.sigma for c in out.cells) == [0.5, 2.0]
     assert out.best.sigma in (0.5, 2.0)
@@ -197,7 +197,7 @@ def test_grid_search_rbf_expands_sigma_axis():
 def test_pooled_search_trains_lambda_zero_alone_without_a_regularizer():
     tr_s, va_s, _ = small_corruption_splits(seed=58, n=120)
     grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-3, 1e-2, 1e-1), sigmas=(0.5, 2.0))
-    items = [(tr_s, va_s, TrainConfig(method, reg=reg, max_epochs=2, seed=4), 4)
+    items = [(tr_s, va_s, TrainConfig(method, reg=reg, max_epochs=2, seed=4))
              for method in ("u2", "mse") for reg in (None, "l2")]
     outcomes = pooled_grid_search(items, ArchSpec("rbf", sigma=1.0), grid)
     assert [len(out.cells) for out in outcomes] == [4, 12, 2, 6]
@@ -213,7 +213,7 @@ def test_grid_search_isolates_failing_cells():
     grid = GridSpec(rhos=(1.0, 1e308), lams=(0.01,), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=2, seed=5)
     with np.errstate(all="ignore"):
-        (out,) = pooled_grid_search([(tr_s, va_s, template, 5)], ArchSpec("linear"), grid)
+        (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
     failed = [c for c in out.cells if c.error is not None]
     assert len(failed) == 1
     assert failed[0].hyper.rho == 1e308
@@ -227,7 +227,7 @@ def test_grid_search_raises_when_every_cell_fails():
     grid = GridSpec(rhos=(1e308,), lams=(0.01, 0.001), sigmas=(1.0,))
     template = TrainConfig("u2", max_epochs=2, seed=6)
     with np.errstate(all="ignore"):
-        (out,) = pooled_grid_search([(tr_s, va_s, template, 6)], ArchSpec("linear"), grid)
+        (out,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
     assert isinstance(out, RuntimeError)
     assert str(out).startswith("every grid cell failed: cell 0: FloatingPointError(")
 
@@ -382,7 +382,7 @@ def test_benchmark_isolates_a_failing_item(monkeypatch):
     assert len(rep.summary("u2", 50.0).fold_maes) == 3
     with pytest.raises(KeyError):
         rep.summary("mse", 50.0)
-    assert {p["method"] for p in rep.points} == {"u2"}
+    assert {row[3] for row in rep.points[50.0]} == {"u2"}
     assert rep.to_text().splitlines()[-3:] == [f"error: {err}" for err in rep.errors]
 
 
@@ -398,18 +398,27 @@ def test_benchmark_trains_nothing_for_an_empty_test_fold(monkeypatch):
 
     monkeypatch.setattr(ev, "train_cells", recording)
     task = BenchmarkTask.named("low-noise", n=40, d=2)
-    rep = ev.run_benchmark(task, ["mse"], [50.0], folds=40, seeds=0,
-                           grid=GridSpec(lams=(1e-2,)), max_epochs=2)
-    empty = [fold for fold, (_tr, (_va, te_s), _) in enumerate(_fold_sets(task, 0, 50.0, 40))
-             if not len(te_s)]
+    grid = GridSpec(lams=(1e-2,))
+    rep = ev.run_benchmark(task, ["mse"], [50.0], folds=40, seeds=0, grid=grid, max_epochs=2)
+    sets = _fold_sets(task, 0, 50.0, 40)
+    empty = [fold for fold, (_tr, (_va, te_s), _) in enumerate(sets) if not len(te_s)]
     assert 0 < len(empty) < 40
     assert rep.errors == sorted(f"seed=0 k=50.0 fold={fold} method=mse: "
                                 "no uncorrupted test row to score" for fold in empty)
     scored = [fold for fold in range(40) if fold not in empty]
-    assert sorted(trained) == sorted(
-        derive_seed(derive_seed(0, "benchmark-train", task.name, 50.0, fold, "mse"), "grid-cell", 0)
-        for fold in scored)
-    assert len(rep.summary("mse", 50.0).fold_maes) == len(scored)
+    run_seeds = {fold: derive_seed(0, "benchmark-train", task.name, 50.0, fold, "mse")
+                 for fold in scored}
+    assert sorted(trained) == sorted(derive_seed(s, "grid-cell", 0) for s in run_seeds.values())
+    # empty folds sit between scored ones: each score must come from its own fold's search
+    summary = rep.summary("mse", 50.0)
+    assert len(summary.fold_maes) == len(scored)
+    for fold, fold_mae in zip(scored, summary.fold_maes):
+        tr_s, (va_s, te_s), _ = sets[fold]
+        template = TrainConfig("mse", batch_size=min(32, len(tr_s)), max_epochs=2,
+                               seed=run_seeds[fold])
+        (search,) = pooled_grid_search([(tr_s, va_s, template)], ArchSpec("linear"), grid)
+        preds = predict(search.best_result.model, te_s.xs)
+        assert fold_mae == mae(te_s.ys_true, preds) / task.label_scale
 
 
 def _fold_sets(task, seed, k, folds):
@@ -442,12 +451,12 @@ def _assert_folds_replay_alone(n, arch, sigmas):
             template = TrainConfig(
                 method, batch_size=min(32, len(tr_s)), max_epochs=3, patience=3, seed=run_seed,
             )
-            (search,) = pooled_grid_search([(tr_s, va_s, template, run_seed)], arch, grid)
+            (search,) = pooled_grid_search([(tr_s, va_s, template)], arch, grid)
             preds = predict(search.best_result.model, te_s.xs)
             assert summary.fold_maes[fold] == mae(te_s.ys_true, preds) / task.label_scale
             assert (summary.fold_signed[fold]
                     == mean_signed_error(te_s.ys_true, preds) / task.label_scale)
-            assert summary.fold_hyper[fold] == search.best.as_dict()
+            assert summary.fold_hyper[fold] == asdict(search.best)
 
 
 def test_benchmark_fold_score_replays_from_its_seed_labels():
@@ -468,7 +477,7 @@ def test_pooled_search_isolates_an_item_whose_training_diverges():
         if fold == 1:
             tr_s = tr_s.subset(np.arange(len(tr_s)))
             tr_s.ys_prime[:] = np.inf
-        items.append((tr_s, va_s, TrainConfig("u2", max_epochs=4, patience=4, seed=fold), fold))
+        items.append((tr_s, va_s, TrainConfig("u2", max_epochs=4, patience=4, seed=fold)))
     with np.errstate(all="ignore"):
         outcomes = pooled_grid_search(items, ArchSpec("linear"), grid)
         (alone,) = pooled_grid_search(items[1:2], ArchSpec("linear"), grid)
@@ -490,8 +499,8 @@ def test_pooled_search_isolates_an_item_with_a_narrower_validation_set():
     grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(1.0,))
     (tr0, (va0, _), _), (tr1, (va1, _), _), _ = _fold_sets(task, 6, 50.0, 3)
     narrow = Dataset(va1.xs[:, :2], va1.ys_prime)
-    items = [(tr0, va0, TrainConfig("u2", max_epochs=3, patience=3, seed=0), 0),
-             (tr1, narrow, TrainConfig("u2", max_epochs=3, patience=3, seed=1), 1)]
+    items = [(tr0, va0, TrainConfig("u2", max_epochs=3, patience=3, seed=0)),
+             (tr1, narrow, TrainConfig("u2", max_epochs=3, patience=3, seed=1))]
     outcomes = pooled_grid_search(items, ArchSpec("linear"), grid)
     assert isinstance(outcomes[1], RuntimeError)
     assert str(outcomes[1]) == (
@@ -510,7 +519,7 @@ def test_grid_search_names_every_cell_of_blocks_that_fail_as_a_whole():
     # model init, before train_cells runs
     empty = Dataset(np.zeros((20, 0)), np.zeros(20))
     grid = GridSpec(rhos=(0.5, 1.0), lams=(1e-2,), sigmas=(0.5, 2.0))
-    (failed,) = pooled_grid_search([(empty, empty, TrainConfig("u2"), 3)],
+    (failed,) = pooled_grid_search([(empty, empty, TrainConfig("u2", seed=3))],
                                    ArchSpec("rbf", sigma=1.0), grid)
     assert isinstance(failed, RuntimeError)
     error = "ValueError('input_dim must be a positive integer')"
