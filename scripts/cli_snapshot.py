@@ -6,7 +6,7 @@ Each run calls u2reg.cli.run_cli in-process with OUT as the working
 directory, so its artifacts land in OUT; next to them go <name>.stdout,
 <name>.stderr and <name>.code. The list covers every subcommand, each model
 kind, every method, --config (one benchmark takes its lists as JSON lists),
-stdout output, each subcommand's --help (at 100 columns) and eighteen rejected
+stdout output, each subcommand's --help (at 100 columns) and twenty-one rejected
 invocations (names starting with "reject-", which exit 1). The benchmark
 runs also reach the training engine's early stopping (all five methods,
 patience 2), rbf grids over two sigmas, an mlp grid with dropout, a grid
@@ -131,6 +131,12 @@ RUNS = [
     ("reject-predict-non-finite-model", ["predict", "--data", "cor.csv",
                                          "--model-file", "non-finite-model.json",
                                          "--out", "reject-nan-model.csv"]),
+    ("reject-predict-zero-std-model", ["predict", "--data", "cor.csv",
+                                       "--model-file", "zero-std-model.json",
+                                       "--out", "reject-zero-std.csv"]),
+    ("reject-generate-d-zero", ["generate", "--n", "20", "--d", "0", "--out", "reject-d.csv"]),
+    ("reject-benchmark-d-zero", ["benchmark", "--n", "40", "--d", "0", "--folds", "2",
+                                 "--out", "reject-d.json"]),
     *((f"help-{command}", [command, "--help"]) for command in ARG_TABLE),
 ]
 INPUTS = {
@@ -145,6 +151,9 @@ INPUTS = {
     # json writes the NaN token, which json reads back as a float
     "non-finite-model.json": {"format_version": 1, "kind": "linear", "input_dim": 3,
                               "theta": [0.5, float("nan"), 0.0, 1.0]},
+    "zero-std-model.json": {"format_version": 1, "kind": "linear", "input_dim": 3,
+                            "theta": [0.5, 0.25, 0.0, 1.0], "standardized_features": True,
+                            "feature_mean": [0.0, 0.0, 0.0], "feature_std": [1.0, 0.0, 1.0]},
 }
 TEXTS = {"non-finite.csv": "1,2,3\n0.5,nan,1.5\n"}
 

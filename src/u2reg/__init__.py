@@ -36,7 +36,6 @@ from .gradients import (
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
-    u2_batch_gradient,
     u2_dataset_gradient_estimate,
 )
 from .losses import LossKind, LossSpec, dloss_df, loss_value, lower_grad_coeff, upper_grad_coeff
@@ -70,6 +69,6 @@ __all__ = [
     "param_jacobian", "partition_upper", "pooled_grid_search", "population_gradient_oracle",
     "predict",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
-    "train", "train_cells", "u2_batch_gradient", "u2_dataset_gradient_estimate",
+    "train", "train_cells", "u2_dataset_gradient_estimate",
     "upper_grad_coeff", "window_features",
 ]

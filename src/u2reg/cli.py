@@ -476,12 +476,24 @@ def _finite(path: str, what: str, values: np.ndarray) -> np.ndarray:
 
 
 def _load_raw_input_model(path: str):
-    """A saved model whose features() first applies the standardization train stored."""
+    """A saved model whose features() first applies the standardization train stored.
+
+    The stored feature_mean and feature_std must each hold one finite number
+    per feature, and every std must be positive.
+    """
     model, payload = load_model(path)
     if payload.get("standardized_features"):
-        stats = FeatureStats(*(_finite(path, f"model file field {key!r}",
-                                       np.asarray(payload[key], dtype=float))
-                               for key in ("feature_mean", "feature_std")))
+        fields = []
+        for key in ("feature_mean", "feature_std"):
+            what, values = f"model file field {key!r}", payload.get(key)
+            if not (isinstance(values, list) and len(values) == model.input_dim
+                    and all(map(_is_number, values))):
+                raise CliError(f"{path}: {what} must be a list of {model.input_dim} numbers, "
+                               f"one per feature")
+            fields.append(_finite(path, what, np.asarray(values, dtype=float)))
+        stats = FeatureStats(*fields)
+        if not (stats.std > 0.0).all():
+            raise CliError(f"{path}: model file field 'feature_std' holds a number <= 0")
         fitted_features = model.features
         model.features = lambda X: fitted_features(stats.apply(X))
     return model

@@ -26,6 +26,11 @@ from .rngutil import derive_rng
 CORRUPTION_MODES = ("paper", "strict")
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:
+        raise ValueError(f"the feature dimension must be at least 1, got {dim}")
+
+
 @dataclass(frozen=True)
 class SyntheticProcess:
     """Linear-Gaussian label process with one-sided label corruption."""
@@ -38,6 +43,7 @@ class SyntheticProcess:
     corruption_scale: float = 2.0
 
     def __post_init__(self):
+        _check_dim(self.dim)
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.dim,):
             raise ValueError(f"weights shape {w.shape} does not match dim {self.dim}")
@@ -61,6 +67,7 @@ class SyntheticProcess:
         corruption_scale: float = 2.0,
     ) -> "SyntheticProcess":
         """Draw oracle weights w ~ N(0, I_dim) from the process seed."""
+        _check_dim(dim)
         w = derive_rng(seed, "process-weights").standard_normal(dim)
         return SyntheticProcess(dim, w, beta, k_percent, mode, corruption_scale)
 

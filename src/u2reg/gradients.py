@@ -25,6 +25,9 @@ per row, so a single weighted backward pass computes the whole thing:
 
     coeff_i = 1[up_i] * (dL_up(f_i, y_i) - c_g) + rho * c_g.
 
+block_gradient computes it from the batch rows' features; the training
+engine runs it on every step.
+
 The mirrored variant for upward-only corruption (mirror=True) swaps the
 roles of the two sides. Rows with f_i == y_i belong to the upper side in
 both variants: they are trustworthy for the downward-corruption form and
@@ -67,37 +70,6 @@ class GradResult:
     trusted: np.ndarray  # boolean mask of rows whose labels were used
 
 
-def u2_batch_gradient(
-    model,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    spec: LossSpec,
-    rho: float,
-    lam: float = 0.0,
-    reg: str | None = "l2",
-    rng=None,
-    mirror: bool = False,
-) -> GradResult:
-    """Corrected gradient for one-sided label corruption.
-
-    Unnormalized sums over the batch, per the module docstring; rng enables
-    train-mode stochasticity (dropout) in the forward pass, and the row
-    partition uses that same forward pass.
-
-    mirror=True handles upward-only corruption: rows with y_i < f_i keep the
-    labeled lower-side term (ties f_i == y_i are treated as upper and dropped
-    from it), and the upper side is rebuilt from the constant c_u = d/df L_up
-    on f < y, reweighted by rho, which stands for the clean fraction exactly
-    as in the downward form.
-    """
-    if not 0.0 <= rho < math.inf:
-        raise ValueError("rho must be nonnegative and finite")
-    if not 0.0 <= lam < math.inf:
-        raise ValueError("lam must be nonnegative and finite")
-    return block_gradient(model, model.features(xs), np.asarray(ys, dtype=float), spec, rho,
-                          lam, reg, rng, mirror)
-
-
 def naive_batch_gradient(
     model,
     xs: np.ndarray,
@@ -117,14 +89,23 @@ def naive_batch_gradient(
 def block_gradient(model, feats, ys, loss, rho, lam, reg, rng, mirror=False) -> GradResult:
     """The batch gradient both training paths share, from the rows' features.
 
-    loss is a LossSpec for the corrected form (rho weights the label-free
-    term, mirror as in u2_batch_gradient) or a LossKind for the naive mean
-    gradient, which trusts every label. feats are model.features of the
-    batch rows. Everything broadcasts over a leading cell axis: a (C, P)
-    model with feats (C, B, k), ys (C, B), rho and lam (C, 1) columns and one
-    rng per cell gives a (C, P) gradient, each row the same floats as that
-    cell's single-model gradient. A cell's penalty is added only where its
-    lam > 0.
+    loss is a LossSpec for the corrected form (the unnormalized sums of the
+    module docstring; rho weights the label-free term) or a LossKind for the
+    naive mean gradient, which trusts every label. feats are model.features
+    of the batch rows; rng enables train-mode stochasticity (dropout) in the
+    forward pass, and the row partition uses that same forward pass.
+
+    mirror=True handles upward-only corruption: rows with y_i < f_i keep the
+    labeled lower-side term (ties f_i == y_i are treated as upper and dropped
+    from it), and the upper side is rebuilt from the constant c_u = d/df L_up
+    on f < y, reweighted by rho, which stands for the clean fraction exactly
+    as in the downward form.
+
+    Everything broadcasts over a leading cell axis: a (C, P) model with feats
+    (C, B, k), ys (C, B), rho and lam (C, 1) columns and one rng per cell
+    gives a (C, P) gradient, each row the same floats as that cell's
+    single-model gradient. A cell's penalty is added only where its lam > 0.
+    rho and lam are not checked here; TrainConfig checks them for every run.
     """
     preds, cache = model.forward(feats, rng)
     if isinstance(loss, LossKind):

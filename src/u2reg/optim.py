@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .gradients import REGULARIZERS, GradResult, block_gradient
+from .gradients import REGULARIZERS, block_gradient
 from .losses import LossKind, LossSpec, loss_value
 from .rngutil import derive_rng
 
@@ -150,10 +150,10 @@ class TrainResult:
 def train(model, train_ds, val_ds, cfg: TrainConfig) -> TrainResult:
     """Mini-batch Adam with patience-based early stopping: train_cells for one cell.
 
-    Each epoch ends with validation_loss(model, val_ds, cfg); the run stops
-    after cfg.patience epochs without a strict improvement on the best value
-    so far (the init model's value included). The caller's model is never
-    mutated; the result carries a copy holding the best-validation
+    Each epoch ends with the model's validation_loss on val_ds; the run
+    stops after cfg.patience epochs without a strict improvement on the best
+    value so far (the init model's value included). The caller's model is
+    never mutated; the result carries a copy holding the best-validation
     parameters. A non-finite gradient or parameter vector raises
     FloatingPointError.
 
@@ -176,7 +176,7 @@ def block_key(train_ds, val_ds, cfg: TrainConfig) -> tuple:
             train_ds.dim, val_ds.dim)
 
 
-def train_cells(block, data, cfgs, step_callback=None) -> list:
+def train_cells(block, data, cfgs) -> list:
     """Train C cells as one (C, P) parameter block; one outcome per cell.
 
     block is one model whose theta holds the cells' initial parameters, one
@@ -188,13 +188,12 @@ def train_cells(block, data, cfgs, step_callback=None) -> list:
     stream, its own early stopping. The block computes the model features
     (for rbf the kernel features phi) of each distinct pair once, telling
     pairs apart by identity, stacks them as (D, n, k) and gathers each
-    step's (C, B) batch from them.
+    step's (C, B) batch from them. Each epoch ends with one validation_loss
+    pass over the block, each cell on its own validation rows.
 
     A cell leaves the block when its patience runs out, or fails alone when
     its gradient or, after an update, its parameters are not all finite;
     its outcome is then that FloatingPointError instead of a TrainResult.
-    step_callback(cell, global_step, model, grad_result) runs after each
-    update of each cell still in the block.
     """
     if block.theta.ndim != 2 or not cfgs or not len(cfgs) == len(data) == len(block.theta):
         raise ValueError("train_cells needs a (C, P) theta block with C >= 1, one (train, val) "
@@ -234,7 +233,7 @@ def train_cells(block, data, cfgs, step_callback=None) -> list:
     def validate(where):
         """Each cell's validation loss; the cells of a one-dataset block share its rows."""
         at = 0 if len(pairs) == 1 else where
-        return _val_losses(block, val_feats[at], val_ys[at], cfg)
+        return validation_loss(block, val_feats[at], val_ys[at], cfg)
 
     # per-cell state, compacted together whenever cells leave the block
     cells = {
@@ -285,26 +284,20 @@ def train_cells(block, data, cfgs, step_callback=None) -> list:
             at = cells["where"][:, None]
             rows = (feats[at, idx] if idx.shape[1] > 1
                     else np.stack([block.features(trains[w].xs[i]) for w, i in zip(at[:, 0], idx)]))
-            res = block_gradient(block, rows, ys[at, idx], loss, cells["rho"],
-                                 cells["lam"], cfg.reg, rng, mirror)
-            if not np.isfinite(res.grad).all():
-                bad = ~np.isfinite(res.grad).all(axis=1)
+            g = block_gradient(block, rows, ys[at, idx], loss, cells["rho"],
+                               cells["lam"], cfg.reg, rng, mirror).grad
+            if not np.isfinite(g).all():
+                bad = ~np.isfinite(g).all(axis=1)
                 error = f"non-finite gradient at epoch {epoch}, step {global_step}"
                 leave(bad, lambda i: FloatingPointError(error))
-                res = GradResult(res.grad[~bad], res.trusted[~bad])
-            state, delta = adam_step(state, res.grad, cfg.lr)
+                g = g[~bad]
+            state, delta = adam_step(state, g, cfg.lr)
             block.theta = block.theta + delta
-            g = res.grad
             norms[:, s] = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
             if not np.isfinite(block.theta).all():
                 bad = ~np.isfinite(block.theta).all(axis=1)
                 error = f"non-finite parameters at epoch {epoch}, step {global_step}"
                 leave(bad, lambda i: FloatingPointError(error))
-                res = GradResult(res.grad[~bad], res.trusted[~bad])
-            if step_callback is not None:
-                for i, cell in enumerate(cells["index"]):
-                    step_callback(cell, global_step, block.clone_with_theta(block.theta[i]),
-                                  GradResult(res.grad[i], res.trusted[i]))
             global_step += 1
             if not len(cells["index"]):
                 return outcomes
@@ -333,14 +326,12 @@ def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
 
 
-def _val_losses(model, feats, ys, cfg: TrainConfig) -> np.ndarray:
-    preds = model.forward(feats)[0]
-    kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
-    return np.mean(loss_value(kind, preds, ys), axis=-1)
-
-
-def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
+def validation_loss(model, feats, ys, cfg: TrainConfig) -> np.ndarray:
     """Mean validation loss against the observed labels ys_prime.
+
+    feats are model.features of the validation rows and ys their observed
+    labels; a (C, P) block gives one mean per cell, a single model a 0-d
+    value.
 
     A naive run is scored on the loss it trains (squared for mse, absolute
     for mae, huber for huber), so early stopping and grid selection keep it
@@ -350,4 +341,6 @@ def validation_loss(model, val_ds, cfg: TrainConfig) -> float:
     tiny validation splits its few trusted rows make it too noisy to rank
     cells.
     """
-    return float(_val_losses(model, model.features(val_ds.xs), val_ds.ys_prime, cfg))
+    preds = model.forward(feats)[0]
+    kind = cfg.naive_kind if cfg.naive_kind is not None else _ABSOLUTE
+    return np.mean(loss_value(kind, preds, ys), axis=-1)

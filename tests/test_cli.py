@@ -388,6 +388,56 @@ def test_non_finite_inputs_exit_one_naming_the_file(pipeline, capsys):
     assert not os.path.exists(out)
 
 
+def test_saved_feature_statistics_need_one_positive_std_per_feature(pipeline, capsys):
+    # a zero std made predict write inf and diagnose a NaN bound; a short
+    # field broadcast over every feature; a missing one raised a bare
+    # KeyError, and a JSON object exited 2
+    tmp_path, _data, cor = pipeline
+    model_path = str(tmp_path / "model.json")
+    assert run("train", "--data", cor, "--max-epochs", "1", "--out", model_path) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    bad_model = str(tmp_path / "bad.json")
+    out = str(tmp_path / "out")
+    positive = "model file field 'feature_std' holds a number <= 0"
+    list_of = "model file field {!r} must be a list of 3 numbers, one per feature".format
+    cases = [
+        ("feature_std", [1.0, 0.0, 1.0], positive),
+        ("feature_std", [1.0, 1.0, -2.0], positive),
+        ("feature_std", [1.0], list_of("feature_std")),
+        ("feature_mean", [0.5], list_of("feature_mean")),
+        ("feature_mean", [0.5] * 4, list_of("feature_mean")),
+        ("feature_mean", None, list_of("feature_mean")),
+        ("feature_std", None, list_of("feature_std")),
+        ("feature_std", [1.0, "2", 1.0], list_of("feature_std")),
+        ("feature_mean", {"x": 0.5}, list_of("feature_mean")),
+    ]
+    for key, value, message in cases:
+        bad = {k: v for k, v in payload.items() if k != key}
+        if value is not None:
+            bad[key] = value
+        with open(bad_model, "w", encoding="utf-8") as fh:
+            json.dump(bad, fh)
+        for argv in (["predict", "--data", cor], ["diagnose", "--d", "3", "--n-mc", "2000"]):
+            assert run(*argv, "--model-file", bad_model, "--out", out) == 1, (argv, key, value)
+            assert f"{bad_model}: {message}" in capsys.readouterr().err, (argv, key, value)
+            assert not os.path.exists(out)
+
+
+def test_a_feature_dimension_below_one_exits_one_and_writes_nothing(tmp_path, capsys):
+    # --d 0 used to write a label-only CSV (generate), fail every cell with
+    # exit 2 (benchmark) or print a bound for a process with no features
+    # (diagnose)
+    out = str(tmp_path / "out")
+    for d in ("0", "-1"):
+        for argv in (["generate", "--n", "20"],
+                     ["benchmark", "--n", "40", "--folds", "2", "--max-epochs", "1"],
+                     ["diagnose", "--n-mc", "2000"]):
+            assert run(*argv, "--d", d, "--out", out) == 1, (argv, d)
+            assert f"feature dimension must be at least 1, got {d}" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+
 def test_train_with_non_finite_parameters_exits_two_and_writes_no_model(tmp_path, capsys):
     # lr 1e308 overflows theta on the first step; before the parameter check
     # this run exited 0 and saved the init theta

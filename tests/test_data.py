@@ -51,6 +51,13 @@ def test_process_validation():
             SyntheticProcess(2, np.zeros(2), beta=bad)
         with pytest.raises(ValueError):
             SyntheticProcess(2, np.zeros(2), corruption_scale=bad)
+    # draw checks before it draws, so -1 gets the same message as 0
+    for dim in (0, -1):
+        message = f"feature dimension must be at least 1, got {dim}"
+        with pytest.raises(ValueError, match=message):
+            SyntheticProcess(dim, np.zeros(0))
+        with pytest.raises(ValueError, match=message):
+            SyntheticProcess.draw(dim, seed=1)
 
 
 def test_noise_std_is_inverse_sqrt_precision():

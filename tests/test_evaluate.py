@@ -363,10 +363,10 @@ def test_benchmark_isolates_a_failing_item(monkeypatch):
 
     real_train_cells = ev.train_cells
 
-    def flaky(block, data, cfgs, step_callback=None):
+    def flaky(block, data, cfgs):
         if cfgs[0].method == "mse":
             raise RuntimeError("boom")
-        return real_train_cells(block, data, cfgs, step_callback)
+        return real_train_cells(block, data, cfgs)
 
     monkeypatch.setattr(ev, "train_cells", flaky)
     task = BenchmarkTask.named("low-noise", n=120, d=3)
@@ -392,9 +392,9 @@ def test_benchmark_trains_nothing_for_an_empty_test_fold(monkeypatch):
     real_train_cells = ev.train_cells
     trained = []
 
-    def recording(block, data, cfgs, step_callback=None):
+    def recording(block, data, cfgs):
         trained.extend(cfg.seed for cfg in cfgs)
-        return real_train_cells(block, data, cfgs, step_callback)
+        return real_train_cells(block, data, cfgs)
 
     monkeypatch.setattr(ev, "train_cells", recording)
     task = BenchmarkTask.named("low-noise", n=40, d=2)
@@ -536,9 +536,9 @@ def test_benchmark_blocks_stay_within_the_memory_budget(monkeypatch):
     blocks = []
     real_train_cells = ev.train_cells
 
-    def counted(block, data, cfgs, step_callback=None):
+    def counted(block, data, cfgs):
         blocks.append(cfgs[0].method)
-        return real_train_cells(block, data, cfgs, step_callback)
+        return real_train_cells(block, data, cfgs)
 
     monkeypatch.setattr(ev, "train_cells", counted)
     task = BenchmarkTask.named("low-noise", n=120, d=3)

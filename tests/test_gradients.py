@@ -21,10 +21,9 @@ from u2reg import (
     partition_upper,
     population_gradient_oracle,
     predict,
-    u2_batch_gradient,
     u2_dataset_gradient_estimate,
 )
-from u2reg.gradients import MC_CHUNK, reg_grad
+from u2reg.gradients import MC_CHUNK, block_gradient, reg_grad
 from u2reg.losses import dloss_df, lower_grad_coeff, upper_grad_coeff
 from u2reg.rngutil import derive_rng, derive_seed
 
@@ -70,11 +69,11 @@ def test_u2_hand_example():
     model = LinearModel(1, np.array([1.0, 0.0]))
     xs = np.array([[1.0], [2.0]])
     ys = np.array([2.0, 1.0])
-    res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=0.5, lam=0.0)
+    res = block_gradient(model, model.features(xs), ys, SQ_ABS, 0.5, 0.0, None, None)
     # coeff_up = dL_up - c_g + rho c_g = -2 - 1 + 0.5; coeff_lo = rho c_g = 0.5
     assert np.allclose(res.grad, [-2.5 * 1 + 0.5 * 2, -2.5 + 0.5])
     assert res.trusted.tolist() == [True, False]
-    with_reg = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=0.5, lam=0.1, reg="l2")
+    with_reg = block_gradient(model, model.features(xs), ys, SQ_ABS, 0.5, 0.1, "l2", None)
     assert np.allclose(with_reg.grad, res.grad + 0.1 * 2.0 * model.theta)
 
 
@@ -82,7 +81,7 @@ def test_u2_empty_upper_is_pure_unlabeled_term():
     model = LinearModel(1, np.array([1.0, 0.0]))
     xs = np.array([[1.0], [2.0]])
     ys = np.array([0.0, 0.0])  # all labels strictly below the fit
-    res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=1.0, lam=0.0)
+    res = block_gradient(model, model.features(xs), ys, SQ_ABS, 1.0, 0.0, None, None)
     sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
     assert np.array_equal(res.grad, 1.0 * 1.0 * sum_jac)
     assert not res.trusted.any()
@@ -96,7 +95,7 @@ def test_u2_rho_zero_all_upper_matches_naive_accounting():
     xs = rng.standard_normal((12, 3))
     preds = predict(model, xs)
     ys = preds + np.abs(rng.standard_normal(12)) + 0.1
-    res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=0.0, lam=0.0)
+    res = block_gradient(model, model.features(xs), ys, SQ_ABS, 0.0, 0.0, None, None)
     naive = naive_batch_gradient(model, xs, ys, SQ_ABS.upper, lam=0.0)
     sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
     assert np.allclose(res.grad, 12 * naive.grad - 1.0 * sum_jac, atol=1e-12)
@@ -105,21 +104,20 @@ def test_u2_rho_zero_all_upper_matches_naive_accounting():
 
 def test_u2_tie_row_is_trusted():
     model = LinearModel(1, np.array([1.0, 0.0]))
-    res = u2_batch_gradient(model, np.array([[2.0]]), np.array([2.0]), SQ_ABS, rho=1.0)
+    feats = model.features(np.array([[2.0]]))
+    res = block_gradient(model, feats, np.array([2.0]), SQ_ABS, 1.0, 0.0, None, None)
     assert res.trusted.tolist() == [True]
     # squared upper derivative vanishes at the tie, so the trusted-row term
     # -c_g J exactly cancels the rho c_g J unlabeled term at rho = 1
     assert np.array_equal(res.grad, np.zeros(2))
 
 
-def test_u2_rejects_negative_rho_and_lam():
+def test_naive_rejects_negative_lam():
+    # the corrected form's rho and lam are checked by TrainConfig (see
+    # test_train_config_validation); naive_batch_gradient is called directly
     model = LinearModel(1)
     xs, ys = np.array([[1.0]]), np.array([0.0])
     for bad in (-0.1, math.nan, math.inf):
-        with pytest.raises(ValueError):
-            u2_batch_gradient(model, xs, ys, SQ_ABS, rho=bad)
-        with pytest.raises(ValueError):
-            u2_batch_gradient(model, xs, ys, SQ_ABS, rho=1.0, lam=bad)
         with pytest.raises(ValueError):
             naive_batch_gradient(model, xs, ys, LossKind("squared"), lam=bad)
 
@@ -136,7 +134,7 @@ def test_u2_matches_three_sum_oracle(seed, n, rho, lam):
     model = LinearModel(2, rng.standard_normal(3))
     xs = rng.standard_normal((n, 2))
     ys = rng.standard_normal(n) * 2.0
-    res = u2_batch_gradient(model, xs, ys, SQ_ABS, rho=rho, lam=lam, reg="l1")
+    res = block_gradient(model, model.features(xs), ys, SQ_ABS, rho, lam, "l1", None)
     preds = predict(model, xs)
     J = model.param_jacobian_batch(xs)
     up = preds <= ys
@@ -160,7 +158,7 @@ def test_lu_all_upper_is_pure_unlabeled_term():
     model = LinearModel(1, np.array([1.0, 0.0]))
     xs = np.array([[1.0], [2.0]])
     ys = np.array([5.0, 5.0])  # everything above the fit: labeled set empty
-    res = u2_batch_gradient(model, xs, ys, ABS_ABS, rho=1.0, lam=0.0, mirror=True)
+    res = block_gradient(model, model.features(xs), ys, ABS_ABS, 1.0, 0.0, None, None, mirror=True)
     sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
     assert np.array_equal(res.grad, upper_grad_coeff(ABS_ABS) * sum_jac)
     assert not res.trusted.any()
@@ -168,8 +166,8 @@ def test_lu_all_upper_is_pure_unlabeled_term():
 
 def test_lu_single_lower_row():
     model = LinearModel(1, np.array([1.0, 0.0]))
-    res = u2_batch_gradient(model, np.array([[3.0]]), np.array([1.0]), ABS_ABS, rho=0.0,
-                            mirror=True)
+    feats = model.features(np.array([[3.0]]))
+    res = block_gradient(model, feats, np.array([1.0]), ABS_ABS, 0.0, 0.0, None, None, mirror=True)
     # f = 3 > y = 1: coeff = dL_lo - c_u = 1 - (-1) = 2 on that single row
     assert np.array_equal(res.grad, 2.0 * np.array([3.0, 1.0]))
     assert res.trusted.tolist() == [True]
@@ -177,8 +175,8 @@ def test_lu_single_lower_row():
 
 def test_lu_tie_row_is_not_in_the_labeled_set():
     model = LinearModel(1, np.array([1.0, 0.0]))
-    res = u2_batch_gradient(model, np.array([[2.0]]), np.array([2.0]), ABS_ABS, rho=1.0,
-                            mirror=True)
+    feats = model.features(np.array([[2.0]]))
+    res = block_gradient(model, feats, np.array([2.0]), ABS_ABS, 1.0, 0.0, None, None, mirror=True)
     assert res.trusted.tolist() == [False]
     assert np.array_equal(res.grad, -1.0 * np.array([2.0, 1.0]))
 
@@ -190,9 +188,9 @@ def test_lu_mirrors_u2_on_negated_data(seed, n, rho):
     theta = rng.standard_normal(3)
     xs = rng.standard_normal((n, 2))
     ys = rng.standard_normal(n) * 2.0
-    g_u2 = u2_batch_gradient(LinearModel(2, theta), xs, ys, ABS_ABS, rho, 0.01, "l2")
-    g_lu = u2_batch_gradient(LinearModel(2, -theta), xs, -ys, ABS_ABS, rho, 0.01, "l2",
-                             mirror=True)
+    u2, lu = LinearModel(2, theta), LinearModel(2, -theta)
+    g_u2 = block_gradient(u2, u2.features(xs), ys, ABS_ABS, rho, 0.01, "l2", None)
+    g_lu = block_gradient(lu, lu.features(xs), -ys, ABS_ABS, rho, 0.01, "l2", None, mirror=True)
     assert np.allclose(g_lu.grad, -g_u2.grad, atol=1e-10)
 
 

@@ -20,9 +20,9 @@ from u2reg import (
     predict,
     train,
     train_cells,
-    u2_batch_gradient,
 )
 from u2reg.data import Dataset
+from u2reg.gradients import block_gradient
 from u2reg.optim import METHODS, validation_loss
 from u2reg.rngutil import derive_rng, derive_seed
 
@@ -35,6 +35,29 @@ def mse_cfg(**kw) -> TrainConfig:
     base = dict(method="mse", lam=0.0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def record_steps(monkeypatch) -> list:
+    """Spy on the engine's steps; one [theta in, GradResult, Adam delta] per step.
+
+    Each entry holds the block's rows still training at that step. The theta
+    a step produces is theta in + delta, added as the engine adds it.
+    """
+    steps = []
+
+    def gradient(model, *args):
+        res = block_gradient(model, *args)
+        steps.append([model.theta.copy(), res])
+        return res
+
+    def adam(state, grad, lr):
+        state, delta = adam_step(state, grad, lr)
+        steps[-1].append(delta)
+        return state, delta
+
+    monkeypatch.setattr("u2reg.optim.block_gradient", gradient)
+    monkeypatch.setattr("u2reg.optim.adam_step", adam)
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -199,17 +222,17 @@ def test_best_tracking_is_the_running_minimum():
         assert all(m > res.best_val_loss for m in vals[: res.best_epoch])
 
 
-def test_restored_model_matches_best_epoch_not_last():
+def test_restored_model_matches_best_epoch_not_last(monkeypatch):
     # big learning rate so late epochs overshoot; the result must come from
     # the best validation epoch, not the final parameters
     proc = SyntheticProcess.draw(2, derive_seed(10, "op-proc"), beta=4.0)
     ds = generate_uncorrupted(proc, 80, derive_seed(10, "op-data"))
     val = generate_uncorrupted(proc, 40, derive_seed(10, "op-val"))
-    thetas = []
+    steps = record_steps(monkeypatch)
     cfg = mse_cfg(lr=0.05, max_epochs=40, patience=40,
                   batch_size=80, seed=1)
-    (res,) = train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, val)], [cfg],
-                         step_callback=lambda c, s, m, g: thetas.append(m.theta.copy()))
+    res = train(LinearModel(2), ds, val, cfg)
+    thetas = [theta[0] + delta[0] for theta, _, delta in steps]
     assert res.best_epoch >= 0
     assert np.array_equal(res.model.theta, thetas[res.best_epoch])  # one step per epoch here
     val_at_best = float(np.mean((predict(res.model, val.xs) - val.ys_prime) ** 2))
@@ -227,10 +250,10 @@ def test_validation_loss_is_the_loss_each_baseline_trains():
         (TrainConfig("huber", huber_delta=0.5), np.mean(np.where(a <= 0.5, r * r, a - 0.25))),
     ]
     for cfg, value in expected:
-        assert validation_loss(model, ds, cfg) == pytest.approx(value)
+        assert validation_loss(model, model.features(ds.xs), ds.ys_prime, cfg) == pytest.approx(value)
     # the corrected methods keep absolute error on the observed labels
     u2 = TrainConfig(method="u2", spec=SQ_ABS, rho=0.5)
-    assert validation_loss(model, ds, u2) == pytest.approx(np.mean(a))
+    assert validation_loss(model, model.features(ds.xs), ds.ys_prime, u2) == pytest.approx(np.mean(a))
 
 
 def test_patience_counts_epochs_without_improvement():
@@ -251,16 +274,14 @@ def test_patience_counts_epochs_without_improvement():
     assert res.best_val_loss == 0.0
 
 
-def test_full_batch_runs_one_step_per_epoch():
+def test_full_batch_runs_one_step_per_epoch(monkeypatch):
     ds = make_dataset(25, 2, seed=7)
-    steps = []
-    train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, ds)],
-                [mse_cfg(max_epochs=4, patience=100, batch_size=25, seed=0)],
-                step_callback=lambda c, s, m, g: steps.append(s))
-    assert steps == [0, 1, 2, 3]
+    steps = record_steps(monkeypatch)
+    train(LinearModel(2), ds, ds, mse_cfg(max_epochs=4, patience=100, batch_size=25, seed=0))
+    assert [res.trusted.shape for _, res, _ in steps] == [(1, 25)] * 4
 
 
-def test_partition_is_refreshed_from_the_current_model():
+def test_partition_is_refreshed_from_the_current_model(monkeypatch):
     # u2 training from a zero init on all-positive labels: every row starts
     # trusted; as the fit rises above the smaller labels, rows must leave the
     # trusted set, which only happens if each step repartitions
@@ -268,12 +289,12 @@ def test_partition_is_refreshed_from_the_current_model():
     xs = rng.standard_normal((40, 2))
     ys = np.abs(rng.standard_normal(40)) * 0.2 + 0.05
     ds = Dataset(xs, ys)
-    masks = []
+    steps = record_steps(monkeypatch)
     cfg = TrainConfig(method="u2", spec=SQ_ABS, rho=1.0, lam=0.0,
                       lr=0.05, batch_size=40, max_epochs=60,
                       patience=60, seed=0)
-    train_cells(LinearModel(2, np.zeros((1, 3))), [(ds, ds)], [cfg],
-                step_callback=lambda c, s, m, g: masks.append(g.trusted.copy()))
+    train(LinearModel(2), ds, ds, cfg)
+    masks = [res.trusted[0] for _, res, _ in steps]
     assert masks[0].all()
     assert not masks[-1].all()
     assert masks[-1].any()
@@ -340,7 +361,11 @@ def _replay_by_hand(init, ds, val, cfg):
     """The training loop written out from the public per-batch pieces."""
     model = init.clone_with_theta(init.theta)
     state = adam_init(model.theta.size)
-    best_theta, best_val, best_epoch, since = model.theta, validation_loss(model, val, cfg), -1, 0
+
+    def val_loss():
+        return float(validation_loss(model, model.features(val.xs), val.ys_prime, cfg))
+
+    best_theta, best_val, best_epoch, since = model.theta, val_loss(), -1, 0
     thetas, history = [], []
     step = 0
     for epoch in range(cfg.max_epochs):
@@ -350,8 +375,8 @@ def _replay_by_hand(init, ds, val, cfg):
             idx = order[start : start + cfg.batch_size]
             xs, ys, rng = ds.xs[idx], ds.ys_prime[idx], derive_rng(cfg.seed, "dropout", step)
             if cfg.naive_kind is None:
-                grad = u2_batch_gradient(model, xs, ys, cfg.spec, cfg.rho, cfg.lam, cfg.reg, rng,
-                                         mirror=cfg.method == "lu").grad
+                grad = block_gradient(model, model.features(xs), ys, cfg.spec, cfg.rho, cfg.lam,
+                                      cfg.reg, rng, mirror=cfg.method == "lu").grad
             else:
                 grad = naive_batch_gradient(model, xs, ys, cfg.naive_kind, cfg.lam, cfg.reg, rng).grad
             state, delta = adam_step(state, grad, cfg.lr)
@@ -359,10 +384,10 @@ def _replay_by_hand(init, ds, val, cfg):
             norms.append(float(np.linalg.norm(grad)))
             thetas.append(model.theta.copy())
             step += 1
-        val_loss = validation_loss(model, val, cfg)
-        history.append((val_loss, float(np.mean(norms))))
-        if val_loss < best_val:
-            best_theta, best_val, best_epoch, since = model.theta.copy(), val_loss, epoch, 0
+        loss = val_loss()
+        history.append((loss, float(np.mean(norms))))
+        if loss < best_val:
+            best_theta, best_val, best_epoch, since = model.theta.copy(), loss, epoch, 0
         else:
             since += 1
             if since >= cfg.patience:
@@ -370,13 +395,14 @@ def _replay_by_hand(init, ds, val, cfg):
     return thetas, history, best_theta, best_val, best_epoch
 
 
-def _assert_cells_replay_by_hand(kind, method, data):
+def _assert_cells_replay_by_hand(monkeypatch, kind, method, data):
     """Train one three-cell block on data, one (train, val) pair per cell.
 
     Every cell, each with its own rho, lam, seed and init, must match the
     hand loop on its own pair (per-step dropout stream, np.linalg.norm) bit
     for bit in each step's theta, val_loss and grad_norm, and in what early
-    stopping kept; patience 2 stops the cells at different epochs.
+    stopping kept; patience 2 stops the cells at different epochs. Row i of
+    a step's block is the i-th cell still training in that step's epoch.
     """
     base = {"linear": LinearModel(3), "rbf": RbfLinearModel(data[0][0].xs, 1.5),
             "mlp": _mlp(3, 0.5)}[kind]
@@ -387,10 +413,15 @@ def _assert_cells_replay_by_hand(kind, method, data):
     cfgs = [TrainConfig(method, rho=rho if corrected else 1.0, lam=lam, lr=0.02, batch_size=8,
                         max_epochs=25, patience=2, seed=seed)
             for rho, lam, seed in ((0.5, 1e-3, 21), (1.0, 0.0, 22), (0.25, 0.1, 23))]
-    thetas = [[], [], []]
+    steps = record_steps(monkeypatch)
     block = base.clone_with_theta(np.stack([init.theta for init in inits]))
-    outcomes = train_cells(block, data, cfgs,
-                           step_callback=lambda c, s, m, g: thetas[c].append(m.theta.copy()))
+    outcomes = train_cells(block, data, cfgs)
+    thetas = [[], [], []]
+    for step, (theta, _, delta) in enumerate(steps):
+        training = [c for c, res in enumerate(outcomes) if len(res.history) > step // 5]
+        assert len(theta) == len(delta) == len(training)
+        for row, cell in enumerate(training):
+            thetas[cell].append(theta[row] + delta[row])
     for cell, (init, (ds, val), cfg, res) in enumerate(zip(inits, data, cfgs, outcomes)):
         hand_thetas, history, best_theta, best_val, best_epoch = _replay_by_hand(init, ds, val, cfg)
         assert len(thetas[cell]) == len(hand_thetas) == 5 * len(res.history)
@@ -404,21 +435,21 @@ def _assert_cells_replay_by_hand(kind, method, data):
 
 @pytest.mark.parametrize("method", METHODS)
 @pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
-def test_mlp_dropout_training_replays_by_hand(kind, method):
+def test_mlp_dropout_training_replays_by_hand(monkeypatch, kind, method):
     # 33 rows in batches of 8 end each epoch on a one-row batch
     pair = (make_dataset(33, 3, seed=14), make_dataset(12, 3, seed=15))
-    _assert_cells_replay_by_hand(kind, method, [pair] * 3)
+    _assert_cells_replay_by_hand(monkeypatch, kind, method, [pair] * 3)
 
 
 @pytest.mark.parametrize("method", ["u2", "mse"])
 @pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
-def test_a_pooled_block_replays_each_dataset_by_hand(kind, method):
+def test_a_pooled_block_replays_each_dataset_by_hand(monkeypatch, kind, method):
     # cells 0 and 2 share one (train, val) pair and cell 1 has its own, so
     # the block stacks two datasets and gathers every batch and validation
     # pass per cell; an rbf block keeps the first training set's bases
     first = (make_dataset(33, 3, seed=14), make_dataset(12, 3, seed=15))
     second = (make_dataset(33, 3, seed=24), make_dataset(12, 3, seed=25))
-    _assert_cells_replay_by_hand(kind, method, [first, second, first])
+    _assert_cells_replay_by_hand(monkeypatch, kind, method, [first, second, first])
 
 
 def test_a_failing_cell_leaves_the_rest_of_the_block_alone():
@@ -437,6 +468,30 @@ def test_a_failing_cell_leaves_the_rest_of_the_block_alone():
         assert np.array_equal(outcomes[cell].model.theta, alone.model.theta)
         assert ([(r.epoch, r.val_loss, r.grad_norm) for r in outcomes[cell].history]
                 == [(r.epoch, r.val_loss, r.grad_norm) for r in alone.history])
+
+
+def test_a_cell_whose_parameters_overflow_leaves_its_block_mates_alone():
+    # lr 1e308 overflows cell 1's theta on the first Adam step. Cell 0's init
+    # fits its integer rows exactly, so at rho = 1 its gradient is 0 and Adam
+    # leaves it where it is, through the step on which cell 1 leaves.
+    rng = np.random.default_rng(26)
+    xs = rng.integers(-3, 4, size=(40, 3)).astype(float)
+    theta = np.array([1.0, -2.0, 3.0, 0.5])
+    exact = Dataset(xs, xs @ theta[:-1] + theta[-1])
+    ds = make_dataset(40, 3, seed=16)
+    cfgs = [TrainConfig("u2", rho=1.0, lr=1e308, batch_size=8, max_epochs=4, patience=2, seed=s)
+            for s in (1, 2)]
+    block = LinearModel(3, np.stack([theta, np.zeros(4)]))
+    with np.errstate(all="ignore"):
+        outcomes = train_cells(block, [(exact, exact), (ds, ds)], cfgs)
+    assert isinstance(outcomes[1], FloatingPointError)
+    assert str(outcomes[1]) == "non-finite parameters at epoch 0, step 0"
+    alone = train(LinearModel(3, theta), exact, exact, cfgs[0])
+    assert np.array_equal(outcomes[0].model.theta, alone.model.theta)
+    assert np.array_equal(alone.model.theta, theta)
+    assert ([(r.epoch, r.val_loss, r.grad_norm) for r in outcomes[0].history]
+            == [(r.epoch, r.val_loss, r.grad_norm) for r in alone.history])
+    assert len(alone.history) == 2 and alone.stopped_early
 
 
 def test_train_cells_rejects_mixed_blocks():

@@ -34,7 +34,7 @@ def test_cli_snapshot_writes_every_run(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes = {name[:-len(".code")]: (tmp_path / name).read_text()
              for name in os.listdir(tmp_path) if name.endswith(".code")}
-    assert len(codes) == 54
+    assert len(codes) == 57
     for name, code in codes.items():
         expected = ("1" if name.startswith("reject-")
                     else "2" if name == "benchmark-every-item-fails" else "0")
