@@ -43,6 +43,7 @@ from .losses import LossSpec
 from .models import (
     ArchSpec,
     LinearModel,
+    _is_number,
     atomic_write_text,
     init_model,
     load_model,
@@ -85,10 +86,6 @@ _NUMBER = _type("number", lambda text: float(text))
 _NUMBERS = _type("number list", lambda text: _split(text, float))
 _INTEGERS = _type("integer list", lambda text: _split(text, int))
 _NAMES = _type("name list", lambda text: _split(text, str))
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_scalar(value) -> bool:
@@ -478,11 +475,16 @@ def _finite(path: str, what: str, values: np.ndarray) -> np.ndarray:
 def _load_raw_input_model(path: str):
     """A saved model whose features() first applies the standardization train stored.
 
-    The stored feature_mean and feature_std must each hold one finite number
-    per feature, and every std must be positive.
+    standardized_features must be a JSON boolean (absent reads as false). The
+    stored feature_mean and feature_std must each hold one finite number per
+    feature, and every std must be positive.
     """
     model, payload = load_model(path)
-    if payload.get("standardized_features"):
+    standardized = payload.get("standardized_features", False)
+    if not isinstance(standardized, bool):
+        raise CliError(f"{path}: model file field 'standardized_features' must be true or "
+                       f"false, got {standardized!r:.60}")
+    if standardized:
         fields = []
         for key in ("feature_mean", "feature_std"):
             what, values = f"model file field {key!r}", payload.get(key)

@@ -205,7 +205,8 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
     squared in place once the side sums are taken: it is a fresh array this
     pass owns, X itself from draw_clean (which must return a new array) for
     linear, phi(X) for rbf. One chunk is alive at a time, with or without
-    with_sq: one chunk of X (and of phi for rbf) plus row vectors.
+    with_sq: one chunk of X plus row vectors, and for rbf one chunk of phi,
+    which rbf_features builds in its own output buffer.
     """
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0 if with_sq else None
     for start in range(0, n_rows, MC_CHUNK):

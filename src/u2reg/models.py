@@ -15,10 +15,8 @@ backward_weighted:
     full batch gradient without materializing per-sample Jacobians.
 
 ``predict(model, X)`` is the deterministic ``forward(features(X))`` value.
-linear and rbf also give ``param_jacobian_batch(X)``, the (N, P) per-row
-Jacobians, as a fresh array the caller may overwrite. No library path calls
-it: it is the independent reference the tests check the gradients against
-(the oracle's standard errors square the forward features instead).
+The per-row Jacobians of linear ([x, 1]) and rbf (phi(x)) are closed-form,
+so no library path needs them as a method.
 
 Parameters live in a flat float64 vector ``theta`` of length P so the
 optimizer never needs to know the architecture. theta may also be a (C, P)
@@ -99,23 +97,27 @@ class LinearModel:
     def clone_with_theta(self, theta: np.ndarray) -> "LinearModel":
         return LinearModel(self.input_dim, np.array(theta, dtype=float))
 
-    def param_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row i holds d f(x_i)/d theta = [x_i, 1]; a fresh array the caller may overwrite."""
-        X = _check_inputs(X, self.input_dim)
-        return np.hstack([X, np.ones((X.shape[0], 1))])
-
 
 def rbf_features(X: np.ndarray, bases: np.ndarray, sigma: float) -> np.ndarray:
-    """Gaussian kernel features exp(-||x - base_j||^2 / (2 sigma^2))."""
+    """Gaussian kernel features exp(-||x - base_j||^2 / (2 sigma^2)).
+
+    Built in the buffer X @ bases.T returns, so the peak is the (n, m) output
+    plus one (256, m) chunk; each float is the one full-size temporaries give.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     bases = np.atleast_2d(np.asarray(bases, dtype=float))
-    sq = (
-        np.sum(X * X, axis=1)[:, None]
-        + np.sum(bases * bases, axis=1)[None, :]
-        - 2.0 * (X @ bases.T)
-    )
+    xx = np.sum(X * X, axis=1)[:, None]
+    bb = np.sum(bases * bases, axis=1)
+    sq = X @ bases.T
+    norms = np.empty((min(256, len(sq)), sq.shape[1]))
+    for start in range(0, len(sq), 256):
+        rows = sq[start : start + 256]
+        rows *= 2.0
+        np.subtract(np.add(xx[start : start + 256], bb, out=norms[: len(rows)]), rows, out=rows)
     np.maximum(sq, 0.0, out=sq)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    np.negative(sq, out=sq)
+    sq /= 2.0 * sigma * sigma
+    return np.exp(sq, out=sq)
 
 
 class RbfLinearModel:
@@ -148,10 +150,6 @@ class RbfLinearModel:
     def clone_with_theta(self, theta: np.ndarray) -> "RbfLinearModel":
         return RbfLinearModel(self.bases, self.sigma, np.array(theta, dtype=float))
 
-    def param_jacobian_batch(self, X: np.ndarray) -> np.ndarray:
-        """Row i holds d f(x_i)/d theta = phi(x_i); a fresh array the caller may overwrite."""
-        return self.features(X)
-
 
 class MlpModel:
     """Fully connected ReLU network with scalar output.
@@ -164,20 +162,13 @@ class MlpModel:
 
     kind = "mlp"
 
-    def __init__(
-        self,
-        input_dim: int,
-        hidden: tuple[int, ...],
-        dropout: float = 0.5,
-        theta: np.ndarray | None = None,
-    ):
+    def __init__(self, input_dim: int, hidden: tuple[int, ...], dropout: float = 0.5,
+                 theta: np.ndarray | None = None):
         self.input_dim = int(input_dim)
         self.hidden = tuple(int(h) for h in hidden)
         self.dropout = float(dropout)
         self.widths = (self.input_dim, *self.hidden, 1)
-        self._shapes = [
-            (self.widths[i], self.widths[i + 1]) for i in range(len(self.widths) - 1)
-        ]
+        self._shapes = list(zip(self.widths[:-1], self.widths[1:]))
         count = sum(win * wout + wout for win, wout in self._shapes)
         if theta is None:
             theta = np.zeros(count)
@@ -277,12 +268,8 @@ def _check_inputs(X: np.ndarray, input_dim: int) -> np.ndarray:
     return X
 
 
-def init_model(
-    arch: ArchSpec,
-    input_dim: int,
-    seed: int,
-    rbf_bases: np.ndarray | None = None,
-) -> Model:
+def init_model(arch: ArchSpec, input_dim: int, seed: int,
+               rbf_bases: np.ndarray | None = None) -> Model:
     """Build a model with its documented initialization.
 
     linear and rbf start at theta = 0; the mlp draws its weights from the

@@ -58,13 +58,21 @@ def adam_step(state: AdamState, grad: np.ndarray, lr: float) -> tuple[AdamState,
     """One bias-corrected Adam update; returns (new state, theta delta).
 
     Elementwise, so a (C, P) block steps C cells that share the step count.
+    m, v and delta are built in place beside one scratch array, in textbook order.
     """
     t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * grad
-    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
-    m_hat = m / (1.0 - BETA1**t)
-    v_hat = v / (1.0 - BETA2**t)
-    delta = -lr * m_hat / (np.sqrt(v_hat) + EPS)
+    scratch = np.multiply(grad, 1.0 - BETA1)
+    m = np.multiply(state.m, BETA1)
+    m += scratch
+    v = np.multiply(state.v, BETA2)
+    np.multiply(grad, 1.0 - BETA2, out=scratch)
+    scratch *= grad
+    v += scratch
+    np.sqrt(np.divide(v, 1.0 - BETA2**t, out=scratch), out=scratch)
+    scratch += EPS
+    delta = np.divide(m, 1.0 - BETA1**t)
+    delta *= -lr
+    delta /= scratch
     return AdamState(m, v, t), delta
 
 
@@ -292,7 +300,7 @@ def train_cells(block, data, cfgs) -> list:
                 leave(bad, lambda i: FloatingPointError(error))
                 g = g[~bad]
             state, delta = adam_step(state, g, cfg.lr)
-            block.theta = block.theta + delta
+            block.theta += delta  # block owns theta: a clone, or a copy left by leave()
             norms[:, s] = np.sqrt(np.matmul(g[:, None, :], g[:, :, None])[:, 0, 0])
             if not np.isfinite(block.theta).all():
                 bad = ~np.isfinite(block.theta).all(axis=1)

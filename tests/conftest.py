@@ -9,7 +9,7 @@ line for every acceptance check, whatever pytest's own outcome display says.
 import numpy as np
 import pytest
 
-from u2reg import Dataset, SyntheticProcess, corrupt, generate_uncorrupted
+from u2reg import Dataset, SyntheticProcess, corrupt, generate_uncorrupted, rbf_features
 from u2reg.rngutil import derive_seed
 
 ACCEPTANCE_LINES = []
@@ -25,6 +25,18 @@ def pytest_terminal_summary(terminalreporter):
     terminalreporter.section("acceptance checks")
     for line in ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+
+
+def jacobian_rows(model, X) -> np.ndarray:
+    """Row i holds d f(x_i)/d theta in closed form: [x_i, 1] (linear) or phi(x_i) (rbf).
+
+    The reference the reverse-pass gradients are checked against.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if model.kind == "linear":
+        return np.hstack([X, np.ones((len(X), 1))])
+    assert model.kind == "rbf", model.kind
+    return rbf_features(X, model.bases, model.sigma)
 
 
 @pytest.fixture

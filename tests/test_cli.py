@@ -424,6 +424,30 @@ def test_saved_feature_statistics_need_one_positive_std_per_feature(pipeline, ca
             assert not os.path.exists(out)
 
 
+def test_standardized_features_must_be_a_json_boolean(pipeline, capsys):
+    # the flag was read by truthiness: "yes", "false" and 1 all standardized
+    tmp_path, _data, cor = pipeline
+    model_path = str(tmp_path / "model.json")
+    assert run("train", "--data", cor, "--max-epochs", "1", "--out", model_path) == 0
+    with open(model_path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    bad_model = str(tmp_path / "bad.json")
+    out = str(tmp_path / "out")
+    for value in ("yes", "false", 1, 0, None, [True]):
+        with open(bad_model, "w", encoding="utf-8") as fh:
+            json.dump({**payload, "standardized_features": value}, fh)
+        for argv in (["predict", "--data", cor], ["diagnose", "--d", "3", "--n-mc", "2000"]):
+            assert run(*argv, "--model-file", bad_model, "--out", out) == 1, (argv, value)
+            assert (f"{bad_model}: model file field 'standardized_features' must be true or false"
+                    in capsys.readouterr().err), (argv, value)
+            assert not os.path.exists(out)
+    for value in (True, False):
+        with open(bad_model, "w", encoding="utf-8") as fh:
+            json.dump({**payload, "standardized_features": value}, fh)
+        assert run("predict", "--data", cor, "--model-file", bad_model, "--out", out) == 0, value
+        os.remove(out)
+
+
 def test_a_feature_dimension_below_one_exits_one_and_writes_nothing(tmp_path, capsys):
     # --d 0 used to write a label-only CSV (generate), fail every cell with
     # exit 2 (benchmark) or print a bound for a process with no features

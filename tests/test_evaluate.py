@@ -34,6 +34,8 @@ from u2reg.optim import DEFAULT_SPECS
 from u2reg.gradients import bias_lower_bound, partition_upper
 from u2reg.rngutil import derive_rng, derive_seed
 
+from conftest import jacobian_rows
+
 SQ_ABS = LossSpec.parse("squared", "absolute")
 
 
@@ -589,7 +591,7 @@ def test_eta_xi_delta_matches_single_chunk_replay():
     up = partition_upper(preds, y)
     coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y),
                      dloss_df(SQ_ABS.lower, preds, y))
-    J = model.param_jacobian_batch(X)
+    J = jacobian_rows(model, X)
     g_up = (np.where(up, coeff, 0.0) @ J) / up.sum()
     g_lo = (np.where(up, 0.0, coeff) @ J) / (n_mc - up.sum())
     delta = float(np.max(np.abs(g_up - g_lo)))

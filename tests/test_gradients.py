@@ -27,6 +27,8 @@ from u2reg.gradients import MC_CHUNK, block_gradient, reg_grad
 from u2reg.losses import dloss_df, lower_grad_coeff, upper_grad_coeff
 from u2reg.rngutil import derive_rng, derive_seed
 
+from conftest import jacobian_rows
+
 SQ_ABS = LossSpec.parse("squared", "absolute")
 ABS_ABS = LossSpec.parse("absolute", "absolute")
 
@@ -82,7 +84,7 @@ def test_u2_empty_upper_is_pure_unlabeled_term():
     xs = np.array([[1.0], [2.0]])
     ys = np.array([0.0, 0.0])  # all labels strictly below the fit
     res = block_gradient(model, model.features(xs), ys, SQ_ABS, 1.0, 0.0, None, None)
-    sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
+    sum_jac = jacobian_rows(model, xs).sum(axis=0)
     assert np.array_equal(res.grad, 1.0 * 1.0 * sum_jac)
     assert not res.trusted.any()
 
@@ -97,7 +99,7 @@ def test_u2_rho_zero_all_upper_matches_naive_accounting():
     ys = preds + np.abs(rng.standard_normal(12)) + 0.1
     res = block_gradient(model, model.features(xs), ys, SQ_ABS, 0.0, 0.0, None, None)
     naive = naive_batch_gradient(model, xs, ys, SQ_ABS.upper, lam=0.0)
-    sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
+    sum_jac = jacobian_rows(model, xs).sum(axis=0)
     assert np.allclose(res.grad, 12 * naive.grad - 1.0 * sum_jac, atol=1e-12)
     assert res.trusted.all()
 
@@ -136,7 +138,7 @@ def test_u2_matches_three_sum_oracle(seed, n, rho, lam):
     ys = rng.standard_normal(n) * 2.0
     res = block_gradient(model, model.features(xs), ys, SQ_ABS, rho, lam, "l1", None)
     preds = predict(model, xs)
-    J = model.param_jacobian_batch(xs)
+    J = jacobian_rows(model, xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)
     d_up = dloss_df(SQ_ABS.upper, preds, ys)
@@ -159,7 +161,7 @@ def test_lu_all_upper_is_pure_unlabeled_term():
     xs = np.array([[1.0], [2.0]])
     ys = np.array([5.0, 5.0])  # everything above the fit: labeled set empty
     res = block_gradient(model, model.features(xs), ys, ABS_ABS, 1.0, 0.0, None, None, mirror=True)
-    sum_jac = model.param_jacobian_batch(xs).sum(axis=0)
+    sum_jac = jacobian_rows(model, xs).sum(axis=0)
     assert np.array_equal(res.grad, upper_grad_coeff(ABS_ABS) * sum_jac)
     assert not res.trusted.any()
 
@@ -247,7 +249,7 @@ def test_dataset_estimate_matches_written_formula():
     pi_up = 0.37
     res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, pi_up)
     preds = predict(model, xs)
-    J = model.param_jacobian_batch(xs)
+    J = jacobian_rows(model, xs)
     up = preds <= ys
     c_g = lower_grad_coeff(SQ_ABS)
     d_up = dloss_df(SQ_ABS.upper, preds, ys)
@@ -262,7 +264,7 @@ def test_dataset_estimate_empty_upper_fallback():
     xs = np.array([[1.0], [2.0], [3.0]])
     ys = np.zeros(3)
     res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, pi_up=0.5)
-    J = model.param_jacobian_batch(xs)
+    J = jacobian_rows(model, xs)
     assert np.allclose(res.grad, (1.0 / 3.0) * J.sum(axis=0), atol=1e-15)
 
 
@@ -326,7 +328,7 @@ def test_oracle_matches_single_chunk_replay():
     preds = predict(model, X)
     up = partition_upper(preds, y)
     coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y), dloss_df(SQ_ABS.lower, preds, y))
-    G = coeff[:, None] * model.param_jacobian_batch(X)
+    G = coeff[:, None] * jacobian_rows(model, X)
     assert grad == pytest.approx(G.mean(axis=0), rel=1e-12)
     assert se == pytest.approx(G.std(axis=0) / math.sqrt(n_rows), rel=1e-12)
 

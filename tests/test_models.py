@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from u2reg import (
 )
 from u2reg.models import atomic_write_text, model_from_payload, model_payload
 from u2reg.rngutil import derive_rng
+
+from conftest import jacobian_rows
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +75,7 @@ def test_linear_backward_is_weighted_jacobian_sum():
     w = rng.standard_normal(7)
     _preds, cache = model.forward(model.features(X))
     got = model.backward_weighted(cache, w)
-    want = w @ model.param_jacobian_batch(X)
+    want = w @ jacobian_rows(model, X)
     assert np.allclose(got, want, atol=1e-14)
 
 
@@ -87,6 +90,50 @@ def test_rbf_features_basics():
     assert phi[0, 1] == pytest.approx(np.exp(-0.5))
     far = rbf_features(np.array([[20.0, 0.0]]), np.array([[0.0, 0.0]]), sigma=1.0)
     assert far[0, 0] < 1e-12
+
+
+def _rbf_by_temporaries(X, bases, sigma):
+    """rbf_features as written with full-size temporaries, the reference for its floats."""
+    sq = (
+        np.sum(X * X, axis=1)[:, None]
+        + np.sum(bases * bases, axis=1)[None, :]
+        - 2.0 * (X @ bases.T)
+    )
+    np.maximum(sq, 0.0, out=sq)
+    return np.exp(-sq / (2.0 * sigma * sigma))
+
+
+def test_rbf_features_equal_the_full_size_expression_byte_for_byte():
+    # 700 bases span two full 256-row chunks and a partial one; X is bases
+    # takes numpy's syrk path, one row its gemv path
+    rng = np.random.default_rng(11)
+    bases = rng.standard_normal((700, 4)) * 2.0
+    cases = {
+        "other": rng.standard_normal((600, 4)) * 2.0,
+        "copy": bases.copy(),
+        "same": bases,
+        "one row": bases[3:4] + 0.5,
+        "empty": np.zeros((0, 4)),
+    }
+    for sigma in (0.3, 1.0, 7.5):
+        for name, X in cases.items():
+            got = rbf_features(X, bases, sigma)
+            want = _rbf_by_temporaries(X, bases, sigma)
+            assert got.shape == want.shape == (len(X), 700), name
+            assert got.tobytes() == want.tobytes(), (name, sigma)
+
+
+def test_rbf_features_peak_is_the_output_plus_one_chunk():
+    rng = np.random.default_rng(12)
+    X, bases = rng.standard_normal((2000, 5)), rng.standard_normal((1500, 5))
+    tracemalloc.start()
+    try:
+        phi = rbf_features(X, bases, 1.0)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # full-size temporaries peaked at three outputs; the slack covers row vectors
+    assert peak <= phi.nbytes + 256 * 1500 * 8 + 256 * 1024, peak
 
 
 def test_rbf_equidistant_points_get_equal_features():

@@ -23,7 +23,7 @@ from u2reg import (
 )
 from u2reg.data import Dataset
 from u2reg.gradients import block_gradient
-from u2reg.optim import METHODS, validation_loss
+from u2reg.optim import BETA1, BETA2, EPS, METHODS, validation_loss
 from u2reg.rngutil import derive_rng, derive_seed
 
 from conftest import make_dataset
@@ -106,6 +106,34 @@ def test_adam_recurrence_matches_by_hand():
     assert s2.t == 2
     assert np.allclose(s2.m, m2) and np.allclose(s2.v, v2)
     assert np.allclose(d2, -0.1 * m_hat / (np.sqrt(v_hat) + 1e-8))
+
+
+def _adam_textbook(state, grad, lr):
+    """(m, v, delta) of one Adam step, written as the paper's formula."""
+    t = state.t + 1
+    m = BETA1 * state.m + (1.0 - BETA1) * grad
+    v = BETA2 * state.v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1**t)
+    v_hat = v / (1.0 - BETA2**t)
+    return m, v, -lr * m_hat / (np.sqrt(v_hat) + EPS)
+
+
+def test_adam_step_equals_the_textbook_formula_bit_for_bit():
+    rng = np.random.default_rng(21)
+    for shape in ((1001,), (3, 257)):
+        def grad():  # magnitudes from 1e-8 to 1e8, both signs, some exact zeros
+            g = rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-8.0, 8.0, shape)
+            return np.where(rng.random(shape) < 0.1, 0.0, g)
+        grads = [np.zeros(shape)] + [grad() for _ in range(19)] + [np.zeros(shape)]
+        for lr in (1e-3, 0.37):
+            state = adam_init(shape)
+            for step, g in enumerate(grads):  # 21 chained steps
+                m, v, want = _adam_textbook(state, g, lr)
+                state, delta = adam_step(state, g, lr)
+                assert state.t == step + 1
+                assert np.array_equal(state.m, m), (shape, lr, step)
+                assert np.array_equal(state.v, v), (shape, lr, step)
+                assert np.array_equal(delta, want), (shape, lr, step)
 
 
 # ---------------------------------------------------------------------------

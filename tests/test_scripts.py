@@ -1,6 +1,7 @@
 """The experiment scripts run end to end at a small size."""
 
 import os
+import runpy
 import subprocess
 import sys
 
@@ -34,7 +35,9 @@ def test_cli_snapshot_writes_every_run(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     codes = {name[:-len(".code")]: (tmp_path / name).read_text()
              for name in os.listdir(tmp_path) if name.endswith(".code")}
-    assert len(codes) == 57
+    names = [name for name, _argv in runpy.run_path(script)["RUNS"]]
+    assert len(set(names)) == len(names)
+    assert set(codes) == set(names)
     for name, code in codes.items():
         expected = ("1" if name.startswith("reject-")
                     else "2" if name == "benchmark-every-item-fails" else "0")
