@@ -121,7 +121,11 @@ def block_gradient(model, feats, ys, loss, rho, lam, reg, rng, mirror=False) -> 
         coeff = np.where(trusted, dloss_df(kind, preds, ys) - c, 0.0) + rho * c
     grad = model.backward_weighted(cache, coeff)
     penalized = np.asarray(lam) > 0.0
-    if penalized.any():
+    if penalized.all():
+        pen = reg_grad(reg, model.theta)  # a fresh array, as is grad
+        pen *= lam
+        grad += pen
+    elif penalized.any():
         grad = np.where(penalized, grad + lam * reg_grad(reg, model.theta), grad)
     return GradResult(grad, trusted)
 

@@ -199,9 +199,10 @@ class MlpModel:
     def _mask(self, rng, shape) -> np.ndarray:
         """Inverted-dropout mask; a block draws each cell's from its own rng."""
         keep = 1.0 - self.dropout
-        if self.theta.ndim == 1:
-            return (rng.random(shape) < keep) / keep
-        return np.stack([(r.random(shape[1:]) < keep) / keep for r in rng])
+        mask = np.empty(shape)
+        for r, cell in [(rng, mask)] if self.theta.ndim == 1 else zip(rng, mask, strict=True):
+            r.random(out=cell)
+        return np.divide(mask < keep, keep, out=mask)
 
     def features(self, X: np.ndarray) -> np.ndarray:
         return _check_inputs(X, self.input_dim)
@@ -212,18 +213,19 @@ class MlpModel:
         acts = [a]
         masks = []
         for li, (W, b) in enumerate(layers):
-            z = np.matmul(a, W) + b
+            a = np.matmul(a, W)  # a fresh array: the layer is built in it
+            a += b
             if li < len(layers) - 1:
-                a = np.maximum(z, 0.0)
+                np.maximum(a, 0.0, out=a)
                 if rng is not None and self.dropout > 0.0:
                     mask = self._mask(rng, a.shape)
-                    a = a * mask
+                    a *= mask
                 else:
                     mask = None
                 masks.append(mask)
                 acts.append(a)
             else:
-                a = z[..., 0]
+                a = a[..., 0]
         return a, (F, acts, masks)
 
     def backward_weighted(self, cache, w: np.ndarray) -> np.ndarray:
@@ -241,9 +243,9 @@ class MlpModel:
             if li > 0:
                 delta = np.matmul(delta, np.swapaxes(W, -1, -2))
                 if masks[li - 1] is not None:
-                    delta = delta * masks[li - 1]
+                    delta *= masks[li - 1]
                 # relu gate: activations are zero exactly where z <= 0
-                delta = delta * (acts[li] > 0)
+                delta *= acts[li] > 0
         return np.concatenate([part for pair in grads for part in pair], axis=-1)
 
     def clone_with_theta(self, theta: np.ndarray) -> "MlpModel":
@@ -383,14 +385,38 @@ def _field(payload: dict, key: str, check, what: str):
 
 
 def save_model(model: Model, path: str, extra: dict | None = None) -> None:
-    """Write the model as JSON text; float lists round-trip bit-exactly."""
+    """Write json.dumps(payload, indent=1); float lists round-trip bit-exactly.
+
+    A non-finite theta or bases, which load_model rejects, raises ValueError
+    before anything is written.
+    """
     payload = model_payload(model)
     if extra:
         overlap = set(extra) & set(payload)
         if overlap:
             raise ValueError(f"extra metadata clashes with model fields: {sorted(overlap)}")
         payload.update(extra)
-    atomic_write_text(path, json.dumps(payload, indent=1) + "\n")
+    # indent forces json's pure-Python encoder, so the float lists go through
+    # the C encoder and are spliced in at their (unique) top-level lines
+    lists = {key: payload[key] for key in ("theta", "bases") if key in payload}
+    text = json.dumps({**payload, **dict.fromkeys(lists)}, indent=1)
+    for key, values in lists.items():
+        if not np.isfinite(getattr(model, key)).all():
+            raise ValueError(f"model field {key!r} holds a non-finite number")
+        text = text.replace(f'\n "{key}": null', f'\n "{key}": {_indented_list(values, 1)}', 1)
+    atomic_write_text(path, text + "\n")
+
+
+def _indented_list(values: list, depth: int) -> str:
+    """json.dumps(values, indent=1) `depth` levels in, for a list of floats or of float lists."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    if isinstance(values[0], list):
+        items = ("," + pad).join(_indented_list(row, depth + 1) for row in values)
+    else:  # a float's text holds no ", ": split the C encoder's compact text there
+        items = json.dumps(values)[1:-1].replace(", ", "," + pad)
+    return "[" + pad + items + "\n" + " " * depth + "]"
 
 
 def load_model(path: str) -> tuple[Model, dict]:

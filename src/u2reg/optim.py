@@ -30,7 +30,7 @@ import numpy as np
 
 from .gradients import REGULARIZERS, block_gradient
 from .losses import LossKind, LossSpec, loss_value
-from .rngutil import derive_rng
+from .rngutil import derive_rngs
 
 METHODS = ("u2", "lu", "mse", "mae", "huber")
 # Default (upper, lower) losses of the corrected methods. lu rebuilds its
@@ -195,9 +195,11 @@ def train_cells(block, data, cfgs) -> list:
     with data[c] and cfgs[c]: its own shuffle per epoch, its own dropout
     stream, its own early stopping. The block computes the model features
     (for rbf the kernel features phi) of each distinct pair once, telling
-    pairs apart by identity, stacks them as (D, n, k) and gathers each
-    step's (C, B) batch from them. Each epoch ends with one validation_loss
-    pass over the block, each cell on its own validation rows.
+    pairs apart by identity, and stacks them as (D, n, k), labels as (D, n).
+    A step gathers its (C, B) batch with one take on each, viewed flat, at
+    rows idx + where * n: idx holds each cell's next B shuffled rows, where
+    the slot of its pair. Each epoch ends with one validation_loss pass
+    over the block, each cell on its own validation rows.
 
     A cell leaves the block when its patience runs out, or fails alone when
     its gradient or, after an update, its parameters are not all finite;
@@ -227,8 +229,9 @@ def train_cells(block, data, cfgs) -> list:
     # rows. For rbf that pass must round as a gathered batch does: on a copy,
     # since numpy multiplies an array by its own transpose with syrk, not
     # gemm; and a one-row batch, which BLAS runs as gemv, is recomputed alone.
-    feats = _stack([block.features(tr.xs.copy()) for tr in trains])
-    ys = _stack([tr.ys_prime for tr in trains])
+    flat_feats = _stack([block.features(tr.xs.copy()) for tr in trains])
+    flat_feats = flat_feats.reshape(len(trains) * n, -1)
+    flat_ys = _stack([tr.ys_prime for tr in trains]).reshape(-1)
     val_feats = _stack([block.features(va.xs) for va in vals])
     val_ys = _stack([va.ys_prime for va in vals])
     loss = cfg.naive_kind if cfg.naive_kind is not None else cfg.spec
@@ -282,17 +285,16 @@ def train_cells(block, data, cfgs) -> list:
     global_step = 0
     starts = range(0, n, batch)
     for epoch in range(cfg.max_epochs):
-        order = np.stack([derive_rng(seed, "shuffle", epoch).permutation(n)
-                          for seed in cells["seed"]])
+        order = np.stack([r.permutation(n) for r in derive_rngs(cells["seed"], "shuffle", epoch)])
         norms = np.empty((len(order), len(starts)))
         for s, start in enumerate(starts):
             idx = order[:, start : start + batch]
-            rng = [derive_rng(seed, "dropout", global_step)
-                   for seed in cells["seed"]] if draws_masks else None
-            at = cells["where"][:, None]
-            rows = (feats[at, idx] if idx.shape[1] > 1
-                    else np.stack([block.features(trains[w].xs[i]) for w, i in zip(at[:, 0], idx)]))
-            g = block_gradient(block, rows, ys[at, idx], loss, cells["rho"],
+            rng = derive_rngs(cells["seed"], "dropout", global_step) if draws_masks else None
+            at = cells["where"]
+            flat = idx + at[:, None] * n
+            rows = (flat_feats.take(flat, axis=0) if idx.shape[1] > 1
+                    else np.stack([block.features(trains[w].xs[i]) for w, i in zip(at, idx)]))
+            g = block_gradient(block, rows, flat_ys.take(flat), loss, cells["rho"],
                                cells["lam"], cfg.reg, rng, mirror).grad
             if not np.isfinite(g).all():
                 bad = ~np.isfinite(g).all(axis=1)

@@ -3,7 +3,8 @@
 Every random draw in the library flows from a single integer seed plus a
 sequence of string/int labels. Labels are hashed with a stable digest so the
 same (seed, labels) pair yields the same stream on any platform and in any
-process, which is what makes CLI runs byte-reproducible.
+process, which is what makes CLI runs byte-reproducible. derive_rngs derives
+the streams of many seeds under one label tuple; derive_rng is its one-seed case.
 """
 
 from __future__ import annotations
@@ -21,21 +22,26 @@ def _label_to_int(label) -> int:
     return int.from_bytes(digest, "little")
 
 
-def derive_rng(seed: int, *labels) -> np.random.Generator:
-    """Generator for the sub-stream named by ``labels`` under ``seed``.
+def _words(value: int) -> list[int]:
+    """value's little-endian uint32 words as SeedSequence splits an int: [0] for 0."""
+    return [value & _MASK32, value >> 32] if value >> 32 else [value]
+
+
+def derive_rngs(seeds, *labels) -> list[np.random.Generator]:
+    """derive_rng(seed, *labels) for each seed in turn, hashing the labels once.
 
     The entropy is the seed (mod 2**64) followed by one 64-bit hash per
-    label. SeedSequence splits each of those ints into its little-endian
-    uint32 words, dropping trailing zero words ([0] for 0); the words are
-    built here directly, which is cheaper than numpy's own conversion of a
-    list of Python ints and gives the same stream.
+    label. Its uint32 words are built here directly, which is cheaper than
+    numpy's own conversion of a list of Python ints and gives the same stream.
     """
-    words = []
-    for value in (int(seed) & _MASK64, *map(_label_to_int, labels)):
-        words.append(value & _MASK32)
-        if value >> 32:
-            words.append(value >> 32)
-    return np.random.default_rng(np.random.SeedSequence(np.array(words, dtype=np.uint32)))
+    tail = [word for label in labels for word in _words(_label_to_int(label))]
+    return [np.random.default_rng(np.random.SeedSequence(
+        np.array(_words(int(seed) & _MASK64) + tail, dtype=np.uint32))) for seed in seeds]
+
+
+def derive_rng(seed: int, *labels) -> np.random.Generator:
+    """Generator for the sub-stream named by ``labels`` under ``seed``."""
+    return derive_rngs((seed,), *labels)[0]
 
 
 def derive_seed(seed: int, *labels) -> int:

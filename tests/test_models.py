@@ -232,6 +232,54 @@ def test_mlp_eval_mode_has_no_dropout():
     assert np.array_equal(preds, predict(model, X))
 
 
+def _mlp_by_temporaries(model, F, rngs, w):
+    """forward then backward_weighted written out of place, one new array per operation."""
+    keep = 1.0 - model.dropout
+    layers = model._layers(model.theta)
+    a, acts, masks = F, [F], []
+    for W, b in layers[:-1]:
+        a = np.maximum(np.matmul(a, W) + b, 0.0)
+        if model.theta.ndim == 1:
+            mask = (rngs.random(a.shape) < keep) / keep
+        else:
+            mask = np.stack([(r.random(a.shape[1:]) < keep) / keep for r in rngs])
+        a = a * mask
+        acts.append(a)
+        masks.append(mask)
+    W, b = layers[-1]
+    preds = (np.matmul(a, W) + b)[..., 0]
+    lead = model.theta.shape[:-1]
+    delta, grads = w[..., None], []
+    for li in range(len(layers) - 1, -1, -1):
+        grads = [np.matmul(np.swapaxes(acts[li], -1, -2), delta).reshape(*lead, -1),
+                 delta.sum(axis=-2)] + grads
+        if li > 0:
+            delta = np.matmul(delta, np.swapaxes(layers[li][0], -1, -2))
+            delta = delta * masks[li - 1] * (acts[li] > 0)
+    return preds, masks, np.concatenate(grads, axis=-1)
+
+
+def test_mlp_in_place_passes_equal_the_out_of_place_reference():
+    rng = np.random.default_rng(41)
+    base = MlpModel(4, (6, 5, 3), 0.4)
+    single = base.clone_with_theta(rng.standard_normal(base.theta.size))
+    block = base.clone_with_theta(rng.standard_normal((3, base.theta.size)))
+    F = rng.standard_normal((9, 4))
+    for model, feats, w, streams in (
+            (single, F, rng.standard_normal(9), lambda: derive_rng(4, "in-place")),
+            (block, F, rng.standard_normal((3, 9)),
+             lambda: [derive_rng(c, "in-place") for c in range(3)]),
+            (block, rng.standard_normal((3, 9, 4)), rng.standard_normal((3, 9)),
+             lambda: [derive_rng(c, "in-place") for c in range(3, 6)])):
+        preds, cache = model.forward(feats, streams())
+        grad = model.backward_weighted(cache, w)
+        want_preds, want_masks, want_grad = _mlp_by_temporaries(model, feats, streams(), w)
+        assert np.array_equal(preds, want_preds)
+        assert all(np.array_equal(m, want) for m, want in zip(cache[2], want_masks))
+        assert np.array_equal(grad, want_grad)
+        assert np.count_nonzero(grad) and np.count_nonzero(cache[2][0] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # reverse-mode jacobians against finite differences
 # ---------------------------------------------------------------------------
@@ -367,6 +415,39 @@ def test_save_model_extra_metadata(tmp_path):
     assert payload["note"] == "hi"
     with pytest.raises(ValueError):
         save_model(model, path, extra={"theta": [0.0]})
+
+
+def test_save_model_writes_what_json_indents(tmp_path):
+    rng = np.random.default_rng(43)
+    edge = [-0.0, 5e-324, 1e308, 0.1, 1e16]
+    models = [
+        LinearModel(4, np.array(edge)),
+        RbfLinearModel(np.array([edge, edge[::-1]]), 0.9, np.array([1e16, -0.0])),
+        RbfLinearModel(np.array([[0.1, -2.5]]), 1.3, np.array([5e-324])),  # one base
+        MlpModel(3, (4, 2), 0.25, rng.standard_normal(3 * 4 + 4 + 4 * 2 + 2 + 2 + 1)),
+    ]
+    extra = {"feature_mean": edge, "note": "hi", "nested": {"theta": [], "bases": None}}
+    path = os.path.join(tmp_path, "m.json")
+    for model in models:
+        for more in (None, extra):
+            save_model(model, path, extra=more)
+            with open(path, "rb") as fh:
+                written = fh.read()
+            payload = {**model_payload(model), **(more or {})}
+            assert written == (json.dumps(payload, indent=1) + "\n").encode(), (model.kind, more)
+
+
+def test_save_model_rejects_a_non_finite_theta_or_base_and_writes_nothing(tmp_path):
+    path = os.path.join(tmp_path, "m.json")
+    for bad in (np.nan, np.inf, -np.inf):
+        theta = np.array([0.5, bad, 0.1])
+        bases = np.array([[0.5, 0.25], [bad, 1.0]])
+        for model, key in ((LinearModel(2, theta), "theta"),
+                           (MlpModel(1, (1,), 0.0, theta[:2].tolist() * 2), "theta"),
+                           (RbfLinearModel(bases, 1.0), "bases")):
+            with pytest.raises(ValueError, match=f"'{key}' holds a non-finite number"):
+                save_model(model, path)
+            assert os.listdir(tmp_path) == []
 
 
 def test_unsupported_version_rejected(tmp_path):

@@ -24,7 +24,7 @@ from u2reg import (
 from u2reg.data import Dataset
 from u2reg.gradients import block_gradient
 from u2reg.optim import BETA1, BETA2, EPS, METHODS, validation_loss
-from u2reg.rngutil import derive_rng, derive_seed
+from u2reg.rngutil import derive_rng, derive_rngs, derive_seed
 
 from conftest import make_dataset
 
@@ -368,11 +368,11 @@ def _mlp(input_dim: int, dropout: float) -> MlpModel:
 def test_only_a_model_with_dropout_derives_a_dropout_stream(monkeypatch):
     labels = []
 
-    def spy(seed, *rest):
-        labels.append((seed, *rest))
-        return derive_rng(seed, *rest)
+    def spy(seeds, *rest):
+        labels.extend((seed, *rest) for seed in seeds)
+        return derive_rngs(seeds, *rest)
 
-    monkeypatch.setattr("u2reg.optim.derive_rng", spy)
+    monkeypatch.setattr("u2reg.optim.derive_rngs", spy)
     ds = make_dataset(24, 2, seed=13)
     cfg = TrainConfig("u2", rho=0.5, batch_size=8, max_epochs=3, patience=3, seed=5)
     no_masks = (LinearModel(2), RbfLinearModel(ds.xs[:6], 1.0), _mlp(2, 0.0))

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from u2reg.rngutil import _MASK64, _label_to_int, derive_rng, derive_seed
+from u2reg.rngutil import _MASK64, _label_to_int, derive_rng, derive_rngs, derive_seed
 
 
 def _reference_rng(seed, *labels):
@@ -30,3 +30,16 @@ def test_derive_seed_is_stable_and_label_sensitive():
     assert derive_seed(3, "a") != derive_seed(3, "b")
     assert derive_seed(3, 1) != derive_seed(3, 1.0)
     assert 0 <= derive_seed(2**64 + 3, "a") < 2**63
+
+
+def test_derive_rngs_gives_each_seed_its_derive_rng_stream():
+    seeds = SEEDS + [-(2**40) - 5, 2**32 + 1]
+    for labels in LABELS + [("x", 3, ("shuffle", 0)), ("",)]:
+        rngs = derive_rngs(seeds, *labels)
+        assert len(rngs) == len(seeds)
+        for seed, rng in zip(seeds, rngs):
+            alone = derive_rng(seed, *labels)
+            assert rng.bit_generator.state == alone.bit_generator.state, (seed, labels)
+            assert rng.bit_generator.state == _reference_rng(seed, *labels).bit_generator.state
+            assert np.array_equal(rng.permutation(40), alone.permutation(40))
+    assert derive_rngs([], "shuffle", 0) == []
