@@ -46,7 +46,6 @@ from .models import (
     RbfLinearModel,
     init_model,
     load_model,
-    param_jacobian,
     predict,
     rbf_features,
     save_model,
@@ -66,7 +65,7 @@ __all__ = [
     "estimate_eta_xi_delta", "generate_uncorrupted", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "naive_batch_gradient",
-    "param_jacobian", "partition_upper", "pooled_grid_search", "population_gradient_oracle",
+    "partition_upper", "pooled_grid_search", "population_gradient_oracle",
     "predict",
     "rbf_features", "run_benchmark", "save_model", "split_cv", "standardize",
     "train", "train_cells", "u2_dataset_gradient_estimate",

@@ -79,10 +79,20 @@ class SyntheticProcess:
         return np.atleast_2d(np.asarray(X, dtype=float)) @ self.weights
 
     def draw_clean(self, n: int, rng: np.random.Generator):
-        """Fresh uncorrupted draws (X, y); used by Monte-Carlo oracles."""
-        X = rng.standard_normal((n, self.dim))
-        y = X @ self.weights + self.noise_std * rng.standard_normal(n)
-        return X, y
+        """Fresh uncorrupted draws (X, y), from fill_clean and then label_clean."""
+        X, noise = np.empty((n, self.dim)), np.empty(n)
+        self.fill_clean(X, noise, rng)
+        return X, self.label_clean(X, noise)
+
+    @staticmethod
+    def fill_clean(X: np.ndarray, noise: np.ndarray, rng: np.random.Generator) -> None:
+        """Draw the (n, dim) features into X, then n unit-variance noises into noise, in place."""
+        rng.standard_normal(out=X)
+        rng.standard_normal(out=noise)
+
+    def label_clean(self, X: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """The clean labels of filled rows: X @ weights + noise_std * noise."""
+        return X @ self.weights + self.noise_std * noise
 
 
 @dataclass

@@ -24,7 +24,7 @@ from .gradients import BiasDiagnostics, bias_lower_bound, clean_pass
 from .losses import LossSpec
 from .models import ArchSpec, init_model, predict
 from .optim import TrainConfig, TrainResult, block_key, train_cells
-from .rngutil import derive_rng, derive_seed
+from .rngutil import derive_seed
 
 # ---------------------------------------------------------------------------
 # metrics
@@ -491,12 +491,13 @@ def estimate_eta_xi_delta(
     Over n_mc fresh clean draws: eta is the fraction with f(x) <= y, xi is
     the process clean fraction 1 - K/100 (exact by construction), and delta
     is the max-norm gap between the mean two-sided loss gradient on the two
-    sides of the partition. Degenerate models that put every draw on one
-    side leave delta undefined and raise.
+    sides of the partition. The draws come from clean_pass under the label
+    "eta-xi-delta", so the result depends on (seed, n_mc) only. Degenerate
+    models that put every draw on one side leave delta undefined and raise.
     """
     if n_mc < 1000:
         raise ValueError("need at least 1000 Monte-Carlo rows")
-    n_up, g_up, g_lo, _ = clean_pass(model, process, spec, n_mc, derive_rng(seed, "eta-xi-delta"))
+    n_up, g_up, g_lo, _ = clean_pass(model, process, spec, n_mc, seed, "eta-xi-delta")
     if n_up == 0 or n_up == n_mc:
         raise ValueError(
             "every row fell on one side of the partition; the side gap "

@@ -45,8 +45,10 @@ from .losses import LossKind, LossSpec, dloss_df, lower_grad_coeff, upper_grad_c
 from .rngutil import derive_rng
 
 REGULARIZERS = ("l1", "l2")
-# rows per draw_clean call; clean_pass holds one chunk of X (phi too for rbf) plus row vectors
-MC_CHUNK = 65536
+# rows per Monte-Carlo chunk, each drawn from its own stream; clean_pass holds the chunk
+# being summed (phi too for rbf) plus MC_WORKERS chunks of X and noise being filled
+MC_CHUNK = 16384
+MC_WORKERS = 2
 
 
 def reg_grad(reg: str | None, theta: np.ndarray) -> np.ndarray:
@@ -179,9 +181,10 @@ def population_gradient_oracle(
     """Monte-Carlo E[dL(f(x), y) J(x)] under the clean label process.
 
     The loss is the full two-sided objective: upper kind where f <= y, lower
-    kind where f > y. Fresh clean rows come from process.draw_clean, so this
-    never sees corruption; it is the ground truth the corrected estimators
-    are judged against. Returns grad, or (grad, se) with per-coordinate
+    kind where f > y. Fresh clean rows come from clean_pass under the label
+    "population-oracle", so this never sees corruption; it is the ground
+    truth the corrected estimators are judged against. The result depends
+    on (seed, n_rows) only. Returns grad, or (grad, se) with per-coordinate
     standard errors of the Monte-Carlo mean. with_se needs a linear or rbf
     model, whose squared per-row gradients clean_pass reads off the forward
     features in the same pass, with no per-row Jacobian built.
@@ -190,16 +193,17 @@ def population_gradient_oracle(
         raise ValueError("need at least two Monte-Carlo rows")
     if with_se and model.kind not in ("linear", "rbf"):
         raise ValueError(f"with_se needs a linear or rbf model, not a {model.kind} model")
-    _, g_up, g_lo, sq = clean_pass(model, process, spec, n_rows,
-                                   derive_rng(seed, "population-oracle"), with_se)
+    _, g_up, g_lo, sq = clean_pass(model, process, spec, n_rows, seed, "population-oracle",
+                                   with_se)
     grad = (g_up + g_lo) / n_rows
     if not with_se:
         return grad
     return grad, np.sqrt(np.maximum(sq / n_rows - grad * grad, 0.0) / n_rows)
 
 
-def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool = False):
-    """Two-sided loss-gradient sums over n_rows clean draws, MC_CHUNK rows per draw.
+def clean_pass(model, process, spec: LossSpec, n_rows: int, seed: int, label: str,
+               with_sq: bool = False):
+    """Two-sided loss-gradient sums over n_rows clean draws, in MC_CHUNK-row chunks.
 
     Returns (n_up, g_up, g_lo, sq): the count of rows with f <= y, the summed
     gradient on that side and on the other, and with with_sq the coordinatewise
@@ -207,14 +211,29 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
     gradient is coeff_i J_i with J_i = [F_i, 1] (linear) or F_i (rbf), F the
     forward cache, so that sum is backward_weighted(F * F, coeff^2). F is
     squared in place once the side sums are taken: it is a fresh array this
-    pass owns, X itself from draw_clean (which must return a new array) for
-    linear, phi(X) for rbf. One chunk is alive at a time, with or without
-    with_sq: one chunk of X plus row vectors, and for rbf one chunk of phi,
-    which rbf_features builds in its own output buffer.
+    pass owns, the chunk's own X for linear, phi(X) for rbf.
+
+    Streams: chunk 0 draws from derive_rng(seed, label) and chunk k >= 1 from
+    derive_rng(seed, label, k), and the chunk sums are added on this thread in
+    chunk order. So the sums depend on (seed, label, n_rows) only, not on
+    thread scheduling or MC_WORKERS, and a pass of at most MC_CHUNK rows draws
+    exactly what process.draw_clean(n_rows, derive_rng(seed, label)) draws.
+
+    Workers: up to MC_WORKERS chunks are filled ahead on a thread pool while
+    this thread sums the current one; a one-chunk pass runs inline. A worker
+    runs process.fill_clean only, on a stream and buffers made here, and y,
+    the forward pass and the sums are computed here. Two reasons: glibc
+    gives each thread its own malloc arena, so arrays allocated on a worker
+    raise the peak resident memory, and the benchmark's tracer keeps one
+    span stack per process, so every u2reg call must stay on one thread.
+
+    Memory: the chunk being summed plus MC_WORKERS chunks filled or filling,
+    each MC_CHUNK rows of X and noise, plus one chunk's row vectors (and phi
+    for rbf): under (MC_WORKERS + 1.8) * MC_CHUNK * (dim + 1) float64s for a
+    linear model.
     """
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0 if with_sq else None
-    for start in range(0, n_rows, MC_CHUNK):
-        X, y = process.draw_clean(min(MC_CHUNK, n_rows - start), rng)
+    for X, y in _clean_chunks(process, n_rows, seed, label):
         preds, cache = model.forward(model.features(X))
         up = partition_upper(preds, y)
         coeff = np.where(up, dloss_df(spec.upper, preds, y), dloss_df(spec.lower, preds, y))
@@ -224,8 +243,39 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, rng, with_sq: bool =
         if with_sq:
             cache *= cache  # F * F in place: F is this chunk's own array
             sq = sq + model.backward_weighted(cache, coeff * coeff)
-        del X, y, preds, cache, up, coeff  # freed before the next chunk is drawn
+        del X, y, preds, cache, up, coeff  # freed before the next chunk is taken
     return n_up, g_up, g_lo, sq
+
+
+def _clean_chunks(process, n_rows: int, seed: int, label: str):
+    """(X, y) of each MC_CHUNK-row chunk of n_rows clean draws, in chunk order;
+    the stream, worker and memory rules are clean_pass's."""
+    sizes = [min(MC_CHUNK, n_rows - start) for start in range(0, n_rows, MC_CHUNK)]
+
+    def chunk(k):
+        rng = derive_rng(seed, label, k) if k else derive_rng(seed, label)
+        return np.empty((sizes[k], process.dim)), np.empty(sizes[k]), rng
+
+    if len(sizes) == 1:
+        X, noise, rng = chunk(0)
+        process.fill_clean(X, noise, rng)
+        yield X, process.label_clean(X, noise)
+        return
+    from collections import deque
+    from concurrent.futures import ThreadPoolExecutor  # imports logging: kept off the CLI's start
+
+    with ThreadPoolExecutor(MC_WORKERS) as pool:
+        def submit(k):
+            X, noise, rng = chunk(k)
+            return X, noise, pool.submit(process.fill_clean, X, noise, rng)
+
+        filling = deque(submit(k) for k in range(min(MC_WORKERS, len(sizes))))
+        for k in range(len(sizes)):
+            X, noise, filled = filling.popleft()  # drops the previous chunk's arrays
+            filled.result()
+            if k + MC_WORKERS < len(sizes):
+                filling.append(submit(k + MC_WORKERS))
+            yield X, process.label_clean(X, noise)
 
 
 # ---------------------------------------------------------------------------

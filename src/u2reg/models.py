@@ -300,19 +300,6 @@ def _build(arch: ArchSpec, input_dim: int, bases, theta) -> Model:
     return MlpModel(input_dim, arch.hidden, arch.dropout, theta)
 
 
-def param_jacobian(model: Model, x: np.ndarray, rng=None) -> np.ndarray:
-    """d f(x) / d theta for a single input, via the reverse pass.
-
-    Passing a train-mode rng applies the same dropout masks to the forward
-    value and its Jacobian, matching what a training step sees.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[0] != 1:
-        raise ValueError("param_jacobian takes a single input row")
-    _f, cache = model.forward(model.features(x), rng)
-    return model.backward_weighted(cache, np.ones(1))
-
-
 def predict(model: Model, X: np.ndarray) -> np.ndarray:
     """Predictions for the rows of X, without dropout; (C, n) for a block."""
     return model.forward(model.features(X))[0]
@@ -369,11 +356,16 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_number_type(type(value))
+
+
+def _is_number_type(kind: type) -> bool:
+    return issubclass(kind, (int, float)) and not issubclass(kind, bool)
 
 
 def _is_numbers(value) -> bool:
-    return isinstance(value, list) and all(map(_is_number, value))
+    # one check per element type, not per element: a theta list holds thousands of floats
+    return isinstance(value, list) and all(map(_is_number_type, set(map(type, value))))
 
 
 def _field(payload: dict, key: str, check, what: str):

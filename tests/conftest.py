@@ -39,6 +39,15 @@ def jacobian_rows(model, X) -> np.ndarray:
     return rbf_features(X, model.bases, model.sigma)
 
 
+def param_jacobian(model, x: np.ndarray) -> np.ndarray:
+    """d f(x) / d theta for a single input row, via the reverse pass (no dropout)."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    if x.shape[0] != 1:
+        raise ValueError("param_jacobian takes a single input row")
+    _f, cache = model.forward(model.features(x))
+    return model.backward_weighted(cache, np.ones(1))
+
+
 @pytest.fixture
 def low_noise_process():
     return SyntheticProcess.draw(

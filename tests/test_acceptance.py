@@ -13,7 +13,7 @@ import os
 
 import numpy as np
 import pytest
-from conftest import record_acceptance
+from conftest import param_jacobian, record_acceptance
 
 from u2reg import (
     ArchSpec,
@@ -38,7 +38,6 @@ from u2reg import (
     u2_dataset_gradient_estimate,
 )
 from u2reg.cli import run_cli
-from u2reg.models import param_jacobian
 from u2reg.rngutil import derive_seed
 
 KS = (25.0, 50.0, 75.0)

@@ -1,6 +1,7 @@
 """Batch gradients: corrected forms, baselines, oracles, bias diagnostics."""
 
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -23,7 +24,7 @@ from u2reg import (
     predict,
     u2_dataset_gradient_estimate,
 )
-from u2reg.gradients import MC_CHUNK, block_gradient, reg_grad
+from u2reg.gradients import MC_CHUNK, MC_WORKERS, block_gradient, reg_grad
 from u2reg.losses import dloss_df, lower_grad_coeff, upper_grad_coeff
 from u2reg.rngutil import derive_rng, derive_seed
 
@@ -196,6 +197,36 @@ def test_lu_mirrors_u2_on_negated_data(seed, n, rho):
     assert np.allclose(g_lu.grad, -g_u2.grad, atol=1e-10)
 
 
+@pytest.mark.parametrize("kind", ["linear", "rbf", "mlp"])
+@pytest.mark.parametrize("cells", [0, 3], ids=["single", "block"])
+@pytest.mark.parametrize("mirror", [False, True], ids=["u2", "lu"])
+def test_pushing_untrusted_labels_further_out_leaves_the_gradient_unchanged(kind, cells, mirror):
+    # the paper's mechanism: a row the fit does not trust (label below the
+    # fit for u2, at or above it for lu) adds only the label-free term, so
+    # how far out its label sits cannot matter
+    rng = np.random.default_rng(31)
+    model = {"linear": LinearModel(3), "rbf": RbfLinearModel(rng.standard_normal((6, 3)), 1.1),
+             "mlp": MlpModel(3, (5, 4), dropout=0.0)}[kind]
+    draws = [model.init_theta(rng) if kind == "mlp" else rng.standard_normal(model.theta.size)
+             for _ in range(max(cells, 1))]
+    model = model.clone_with_theta(np.stack(draws) if cells else draws[0])
+    rho, lam = (0.5, 0.01) if not cells else (np.array([[0.25], [0.5], [1.0]]),
+                                              np.array([[0.0], [0.01], [0.1]]))
+    X = rng.standard_normal((40, 3))
+    feats = model.features(X)
+    preds = predict(model, X)
+    ys = preds + rng.standard_normal(preds.shape)
+    untrusted = ys >= preds if mirror else ys < preds
+    push = rng.exponential(3.0, ys.shape) * (1.0 if mirror else -1.0)
+    pushed = np.where(untrusted, ys + push, ys)
+    assert untrusted.any() and (~untrusted).any() and not np.array_equal(pushed, ys)
+    spec = ABS_ABS if mirror else SQ_ABS  # lu needs a label-free upper side
+    before = block_gradient(model, feats, ys, spec, rho, lam, "l2", None, mirror=mirror)
+    after = block_gradient(model, feats, pushed, spec, rho, lam, "l2", None, mirror=mirror)
+    assert np.array_equal(after.grad, before.grad)
+    assert np.array_equal(after.trusted, before.trusted)
+
+
 # ---------------------------------------------------------------------------
 # label-trusting baseline
 # ---------------------------------------------------------------------------
@@ -307,7 +338,9 @@ def test_oracle_two_seeds_agree_within_monte_carlo_error():
 
 def test_oracle_standard_errors_need_per_row_jacobians():
     class NoDraws:
-        def draw_clean(self, n, rng):
+        dim = 2
+
+        def fill_clean(self, X, noise, rng):
             raise AssertionError("drew Monte-Carlo rows")
 
     mlp = MlpModel(2, (3,), dropout=0.0)
@@ -334,7 +367,7 @@ def test_oracle_matches_single_chunk_replay():
 
 
 class RecordingProcess:
-    """A real process that records the row count of every draw_clean call."""
+    """A real process that records the row count of every fill_clean call."""
 
     def __init__(self, process):
         self.process, self.sizes = process, []
@@ -342,9 +375,9 @@ class RecordingProcess:
     def __getattr__(self, name):
         return getattr(self.process, name)
 
-    def draw_clean(self, n, rng):
-        self.sizes.append(n)
-        return self.process.draw_clean(n, rng)
+    def fill_clean(self, X, noise, rng):
+        self.sizes.append(len(X))
+        self.process.fill_clean(X, noise, rng)
 
 
 @pytest.mark.parametrize("run", [
@@ -363,13 +396,15 @@ def test_clean_monte_carlo_draws_come_in_chunks(run):
     assert sum(process.sizes) == n_rows
 
 
-def _replay_sums(model, process, n_rows, rng):
-    """clean_pass's sums for two chunks, the squared gradients as the forward
+def _replay_sums(model, process, n_rows, seed, label):
+    """clean_pass's sums: chunk 0 drawn from derive_rng(seed, label), chunk k
+    from derive_rng(seed, label, k), the squared gradients as the forward
     features squared out of place and weighted by coeff^2, chunk sums added
-    in draw order."""
+    in chunk order."""
     n_up, g_up, g_lo, sq = 0, 0.0, 0.0, 0.0
-    for size in (MC_CHUNK, n_rows - MC_CHUNK):
-        X, y = process.draw_clean(size, rng)
+    for k, start in enumerate(range(0, n_rows, MC_CHUNK)):
+        rng = derive_rng(seed, label, k) if k else derive_rng(seed, label)
+        X, y = process.draw_clean(min(MC_CHUNK, n_rows - start), rng)
         preds, cache = model.forward(model.features(X))
         up = partition_upper(preds, y)
         coeff = np.where(up, dloss_df(SQ_ABS.upper, preds, y), dloss_df(SQ_ABS.lower, preds, y))
@@ -388,35 +423,59 @@ def test_two_chunk_oracle_and_side_gap_match_a_replay_bit_for_bit(kind):
              "rbf": RbfLinearModel(bases, 1.5, np.linspace(-1.0, 1.0, 5))}[kind]
     n_rows, seed = MC_CHUNK + 10, 5
     grad, se = population_gradient_oracle(model, process, SQ_ABS, n_rows, seed, with_se=True)
-    _, g_up, g_lo, sq = _replay_sums(model, process, n_rows, derive_rng(seed, "population-oracle"))
+    _, g_up, g_lo, sq = _replay_sums(model, process, n_rows, seed, "population-oracle")
     want = (g_up + g_lo) / n_rows
     assert np.array_equal(grad, want)
     assert np.array_equal(se, np.sqrt(np.maximum(sq / n_rows - want * want, 0.0) / n_rows))
     diag = estimate_eta_xi_delta(process, model, SQ_ABS, n_rows, seed)
-    n_up, g_up, g_lo, _ = _replay_sums(model, process, n_rows, derive_rng(seed, "eta-xi-delta"))
+    n_up, g_up, g_lo, _ = _replay_sums(model, process, n_rows, seed, "eta-xi-delta")
     assert diag.eta == n_up / n_rows
     assert diag.delta == float(np.max(np.abs(g_up / n_up - g_lo / (n_rows - n_up))))
 
 
-@pytest.mark.parametrize("run, chunks", [
-    (lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=3,
-                                                          with_se=True), 1.8),
-    (lambda model, process, n: estimate_eta_xi_delta(process, model, SQ_ABS, n, seed=3), 1.8),
+def test_clean_pass_results_do_not_depend_on_the_worker_count(monkeypatch):
+    process = SyntheticProcess.draw(3, derive_seed(13, "gtest-proc"))
+    model = LinearModel(3, np.append(process.weights * 0.5, -0.2))
+    n_rows, seed = 5 * MC_CHUNK + 10, 4
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr("u2reg.gradients.MC_WORKERS", workers)
+            grad, se = population_gradient_oracle(model, process, SQ_ABS, n_rows, seed,
+                                                  with_se=True)
+            diag = estimate_eta_xi_delta(process, model, SQ_ABS, n_rows, seed)
+            results.append((grad, se, np.array([diag.eta, diag.xi, diag.delta, diag.bound])))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(got, results[0]))
+    _, g_up, g_lo, _ = _replay_sums(model, process, n_rows, seed, "population-oracle")
+    assert np.array_equal(results[0][0], (g_up + g_lo) / n_rows)
+
+
+@pytest.mark.parametrize("run", [
+    lambda model, process, n: population_gradient_oracle(model, process, SQ_ABS, n, seed=3,
+                                                         with_se=True),
+    lambda model, process, n: estimate_eta_xi_delta(process, model, SQ_ABS, n, seed=3),
 ], ids=["oracle-se", "eta-xi-delta"])
-def test_clean_pass_holds_one_chunk_at_a_time(run, chunks):
-    # d = 10: one chunk of X is about MC_CHUNK * 11 float64s; both passes
-    # peak near 1.4 such chunks. Holding the previous chunk through the next
-    # draw peaks near 2.3, and a second chunk-sized array for the standard
-    # errors (a per-row Jacobian) near 2.2
+def test_clean_pass_holds_a_window_of_chunks(run):
+    # d = 10: one chunk of X and noise is MC_CHUNK * 11 float64s. The pass
+    # holds the chunk being summed, MC_WORKERS chunks filled or filling and
+    # one chunk's row vectors; a worker that kept its chunk past the window,
+    # or a second chunk-sized array for the standard errors (a per-row
+    # Jacobian), goes over
     process = SyntheticProcess.draw(10, derive_seed(10, "gtest-proc"))
     model = LinearModel(10, np.append(process.weights, 0.1))
+    run(model, process, 2 * MC_CHUNK)  # imports the thread pool's modules before tracing
     tracemalloc.start()
     try:
-        run(model, process, 2 * MC_CHUNK + 10)
+        run(model, process, 8 * MC_CHUNK + 10)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < chunks * MC_CHUNK * 11 * 8
+    assert peak < (MC_WORKERS + 1.8) * MC_CHUNK * 11 * 8
 
 
 def test_oracle_standard_errors_compute_rbf_features_once():

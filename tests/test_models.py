@@ -14,7 +14,6 @@ from u2reg import (
     RbfLinearModel,
     init_model,
     load_model,
-    param_jacobian,
     predict,
     rbf_features,
     save_model,
@@ -22,7 +21,7 @@ from u2reg import (
 from u2reg.models import atomic_write_text, model_from_payload, model_payload
 from u2reg.rngutil import derive_rng
 
-from conftest import jacobian_rows
+from conftest import jacobian_rows, param_jacobian
 
 
 # ---------------------------------------------------------------------------
@@ -510,6 +509,22 @@ def test_model_file_fields_must_have_their_json_types(tmp_path):
             json.dump(bad, fh)
         with pytest.raises(ValueError, match=match):
             load_model(path)
+
+
+def test_model_file_number_lists_are_checked_per_element_type():
+    linear = model_payload(LinearModel(2, np.array([0.5, -0.5, 0.1])))
+    accepted = model_from_payload({**linear, "theta": [0.5, np.float64(-0.5), 1]})
+    assert np.array_equal(accepted.theta, [0.5, -0.5, 1.0])
+    for bad in ([0.5, True, 0.1], [0.5, -0.5, np.bool_(True)], [0.5, "0.5", 0.1],
+                [0.5, None, 0.1]):
+        with pytest.raises(ValueError, match="'theta' must be a list of numbers"):
+            model_from_payload({**linear, "theta": bad})
+    rbf = model_payload(RbfLinearModel(np.ones((2, 2)), 1.0, np.zeros(2)))
+    accepted = model_from_payload({**rbf, "bases": [[1.0, np.float64(2.0)], [3, 4.0]]})
+    assert np.array_equal(accepted.bases, [[1.0, 2.0], [3.0, 4.0]])
+    for bad in ([[1.0, 2.0], [3.0, False]], [[1.0, 2.0], 3.0]):
+        with pytest.raises(ValueError, match="'bases' must be a list of lists of numbers"):
+            model_from_payload({**rbf, "bases": bad})
 
 
 def test_save_is_deterministic_and_atomic(tmp_path):
