@@ -220,9 +220,9 @@ def clean_pass(model, process, spec: LossSpec, n_rows: int, seed: int, label: st
     exactly what process.draw_clean(n_rows, derive_rng(seed, label)) draws.
 
     Workers: up to MC_WORKERS chunks are filled ahead on a thread pool while
-    this thread sums the current one; a one-chunk pass runs inline. A worker
-    runs process.fill_clean only, on a stream and buffers made here, and y,
-    the forward pass and the sums are computed here. Two reasons: glibc
+    this thread sums the current one, for a one-chunk pass too. A worker runs
+    process.fill_clean only, on a stream and buffers made here, and y, the
+    forward pass and the sums are computed here. Two reasons: glibc
     gives each thread its own malloc arena, so arrays allocated on a worker
     raise the peak resident memory, and the benchmark's tracer keeps one
     span stack per process, so every u2reg call must stay on one thread.
@@ -256,11 +256,6 @@ def _clean_chunks(process, n_rows: int, seed: int, label: str):
         rng = derive_rng(seed, label, k) if k else derive_rng(seed, label)
         return np.empty((sizes[k], process.dim)), np.empty(sizes[k]), rng
 
-    if len(sizes) == 1:
-        X, noise, rng = chunk(0)
-        process.fill_clean(X, noise, rng)
-        yield X, process.label_clean(X, noise)
-        return
     from collections import deque
     from concurrent.futures import ThreadPoolExecutor  # imports logging: kept off the CLI's start
 
