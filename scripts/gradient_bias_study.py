@@ -9,12 +9,12 @@ closed form. Then:
      by coordinate in combined standard-error units;
   2. measures the RMS decay of the estimator error as the dataset grows,
      reporting the log-log slope (should sit near -1/2);
-  3. measures the naive label-trusting gradient's bias on the same datasets
+  3. measures the naive label-trusting gradient's bias on the largest datasets
      and checks it against the analytic lower bound built from the
      estimated (eta, xi, delta) diagnostics.
 
-    python scripts/gradient_bias_study.py            # ~10 s
-    python scripts/gradient_bias_study.py --full     # acceptance-scale
+    python scripts/gradient_bias_study.py            # about 0.6 s on 2 cores
+    python scripts/gradient_bias_study.py --full     # acceptance-scale, about 2.2 s
 """
 
 import argparse
@@ -22,11 +22,7 @@ import math
 
 import numpy as np
 
-from u2reg import (
-    LinearModel, LossSpec, SyntheticProcess, corrupt, generate_uncorrupted,
-    naive_batch_gradient, population_gradient_oracle,
-    u2_dataset_gradient_estimate, estimate_eta_xi_delta,
-)
+from u2reg import LinearModel, LossSpec, SyntheticProcess, gradient_study
 from u2reg.rngutil import derive_seed
 
 
@@ -57,41 +53,20 @@ def main():
     print(f"d={args.d} datasets={args.datasets} rows={args.rows} "
           f"oracle_mc={args.oracle_mc}  pi_up={pi_up:.4f}")
 
-    oracle, oracle_se = population_gradient_oracle(
-        f_t, process, spec, args.oracle_mc,
-        derive_seed(args.seed, "study-oracle"), with_se=True,
+    sizes = (max(args.rows // 100, 50), max(args.rows // 10, 500), args.rows)
+    study = gradient_study(
+        process, f_t, spec, pi_up, sizes, args.datasets, args.oracle_mc,
+        lambda kind, *rest: derive_seed(args.seed, "study-" + kind, *rest),
     )
+    for n_rows, rms in zip(study.sizes, study.rms):
+        print(f"  n={n_rows:>6}  estimator RMS error {rms:.5f}")
+    print(f"corrected estimator at n={study.sizes[-1]}: max |z| = {study.z.max():.2f} "
+          f"over {study.z.size} coords (4 is the property-test gate)")
+    print(f"log-log RMS slope vs n: {study.slope:.3f} (expect near -0.5)")
 
-    sizes = sorted({max(args.rows // 100, 50), max(args.rows // 10, 500), args.rows})
-    rms = []
-    for n_rows in sizes:
-        ests = np.empty((args.datasets, args.d + 1))
-        naive = np.empty((args.datasets, args.d + 1))
-        for r in range(args.datasets):
-            ds = corrupt(
-                generate_uncorrupted(process, n_rows,
-                                     derive_seed(args.seed, "study-data", n_rows, r)),
-                process, derive_seed(args.seed, "study-corrupt", n_rows, r),
-            )
-            ests[r] = u2_dataset_gradient_estimate(
-                f_t, ds.xs, ds.ys_prime, spec, pi_up).grad
-            naive[r] = naive_batch_gradient(
-                f_t, ds.xs, ds.ys_prime, spec.upper, lam=0.0, reg=None).grad
-        rms.append(float(np.sqrt(np.mean((ests - oracle) ** 2))))
-        print(f"  n={n_rows:>6}  estimator RMS error {rms[-1]:.5f}")
-
-    se_est = ests.std(axis=0, ddof=1) / math.sqrt(args.datasets)
-    z = np.abs(ests.mean(axis=0) - oracle) / np.sqrt(se_est**2 + oracle_se**2)
-    slope = float(np.polyfit(np.log10(sizes), np.log10(rms), 1)[0])
-    print(f"corrected estimator at n={sizes[-1]}: max |z| = {z.max():.2f} "
-          f"over {z.size} coords (4 is the property-test gate)")
-    print(f"log-log RMS slope vs n: {slope:.3f} (expect near -0.5)")
-
-    bias_vec = naive.mean(axis=0) - oracle
-    i = int(np.argmax(np.abs(bias_vec)))
-    diag = estimate_eta_xi_delta(process, f_t, spec, args.oracle_mc,
-                                 derive_seed(args.seed, "study-diag"))
-    print(f"naive gradient: max-coordinate bias {abs(bias_vec[i]):.4f} at "
+    i = int(np.argmax(np.abs(study.bias)))
+    diag = study.diag
+    print(f"naive gradient: max-coordinate bias {abs(study.bias[i]):.4f} at "
           f"coord {i}")
     print(f"analytic floor from (eta={diag.eta:.3f}, xi={diag.xi:.2f}, "
           f"delta={diag.delta:.3f}): {diag.bound:.4f}")

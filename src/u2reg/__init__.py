@@ -24,6 +24,7 @@ from .evaluate import (
     GridSpec,
     Hyperparams,
     estimate_eta_xi_delta,
+    gradient_study,
     mae,
     mean_signed_error,
     pooled_grid_search,
@@ -62,7 +63,7 @@ __all__ = [
     "LinearModel", "LossKind", "LossSpec", "MlpModel", "RbfLinearModel",
     "SyntheticProcess", "TrainConfig", "TrainResult", "adam_init", "adam_step",
     "bias_lower_bound", "corrupt", "derive_rng", "derive_seed", "dloss_df",
-    "estimate_eta_xi_delta", "generate_uncorrupted", "init_model",
+    "estimate_eta_xi_delta", "generate_uncorrupted", "gradient_study", "init_model",
     "load_model", "loss_value", "lower_grad_coeff", "mae",
     "mean_signed_error", "naive_batch_gradient",
     "partition_upper", "pooled_grid_search", "population_gradient_oracle",

@@ -1,4 +1,4 @@
-"""Metrics, the pooled grid search and the synthetic benchmark pipeline.
+"""Metrics, pooled grid search, the synthetic benchmark and the gradient study.
 
 The benchmark tasks pin a concrete corruption geometry: half-normal
 downward corruption whose width is corruption_scale times the symmetric
@@ -20,7 +20,8 @@ import numpy as np
 
 from .data import (Dataset, SyntheticProcess, corrupt, generate_uncorrupted, split_cv,
                    standardize, table_text)
-from .gradients import BiasDiagnostics, bias_lower_bound, clean_pass
+from .gradients import (BiasDiagnostics, bias_lower_bound, clean_pass, naive_batch_gradient,
+                        population_gradient_oracle, u2_dataset_gradient_estimate)
 from .losses import LossSpec
 from .models import ArchSpec, init_model, predict
 from .optim import TrainConfig, TrainResult, block_key, train_cells
@@ -507,3 +508,64 @@ def estimate_eta_xi_delta(
     delta = float(np.max(np.abs(g_up / n_up - g_lo / (n_mc - n_up))))
     return BiasDiagnostics(eta=eta, xi=xi, delta=delta, bound=bias_lower_bound(eta, xi, delta),
                            n_rows=n_mc, n_upper=n_up)
+
+
+@dataclass(frozen=True)
+class GradientStudy:
+    """What gradient_study measured; each vector has one entry per model parameter."""
+
+    sizes: tuple  # sorted dataset sizes
+    oracle: np.ndarray
+    oracle_se: np.ndarray
+    ests: tuple  # ests[k]: (n_datasets, P) corrected estimates at sizes[k]
+    naive: np.ndarray  # (n_datasets, P) naive gradients at the largest size
+    rms: tuple  # RMS error against the oracle at each size
+    z: np.ndarray  # |mean estimate - oracle| at the largest size, in combined SEs
+    slope: float  # log-log slope of rms against size, near -1/2 when unbiased
+    bias: np.ndarray  # mean naive gradient - oracle
+    bias_se: np.ndarray  # its combined standard error
+    diag: BiasDiagnostics
+
+
+def gradient_study(process: SyntheticProcess, model, spec: LossSpec, pi_up: float, sizes,
+                   n_datasets: int, n_mc: int, seed_of) -> GradientStudy:
+    """Monte-Carlo check of the corrected gradient estimator and the naive bias floor.
+
+    A clean oracle with standard errors and the (eta, xi, delta) diagnostics
+    each take n_mc draws. Each size gets n_datasets corrupted datasets, with
+    the corrected estimate at pi_up on each and the naive gradient on the
+    largest size. seed_of(*labels) names every stream: ("oracle",), ("diag",),
+    and ("data", n, r) and ("corrupt", n, r) for dataset r of size n.
+    """
+    sizes = tuple(sorted(set(sizes)))
+    if len(sizes) < 2:
+        raise ValueError(f"need at least two distinct dataset sizes, got {sizes}")
+    if n_datasets < 2:
+        raise ValueError(f"need at least two datasets per size, got {n_datasets}")
+    # first, so that a too-small n_mc or a degenerate fit fails before any dataset is drawn
+    diag = estimate_eta_xi_delta(process, model, spec, n_mc, seed_of("diag"))
+    oracle, oracle_se = population_gradient_oracle(model, process, spec, n_mc,
+                                                   seed_of("oracle"), with_se=True)
+    ests = tuple(np.empty((n_datasets, oracle.size)) for _ in sizes)
+    naive = np.empty((n_datasets, oracle.size))
+    for est, n in zip(ests, sizes):
+        for r in range(n_datasets):
+            ds = corrupt(generate_uncorrupted(process, n, seed_of("data", n, r)),
+                         process, seed_of("corrupt", n, r))
+            est[r] = u2_dataset_gradient_estimate(model, ds.xs, ds.ys_prime, spec, pi_up).grad
+            if n == sizes[-1]:
+                naive[r] = naive_batch_gradient(model, ds.xs, ds.ys_prime, spec.upper,
+                                                lam=0.0, reg=None).grad
+    rms = tuple(float(np.sqrt(np.mean((est - oracle) ** 2))) for est in ests)
+
+    def mean_se(draws):
+        se = draws.std(axis=0, ddof=1) / math.sqrt(n_datasets)
+        return draws.mean(axis=0) - oracle, np.sqrt(se**2 + oracle_se**2)
+
+    gap, gap_se = mean_se(ests[-1])
+    bias, bias_se = mean_se(naive)
+    return GradientStudy(
+        sizes=sizes, oracle=oracle, oracle_se=oracle_se, ests=ests, naive=naive, rms=rms,
+        z=np.abs(gap) / gap_se, slope=float(np.polyfit(np.log10(sizes), np.log10(rms), 1)[0]),
+        bias=bias, bias_se=bias_se, diag=diag,
+    )

@@ -25,17 +25,14 @@ from u2reg import (
     TrainConfig,
     corrupt,
     dloss_df,
-    estimate_eta_xi_delta,
     generate_uncorrupted,
+    gradient_study,
     init_model,
-    naive_batch_gradient,
-    population_gradient_oracle,
     predict,
     run_benchmark,
     split_cv,
     standardize,
     train,
-    u2_dataset_gradient_estimate,
 )
 from u2reg.cli import run_cli
 from u2reg.rngutil import derive_seed
@@ -77,46 +74,17 @@ def grad_study():
         k_percent=50.0, mode="strict", corruption_scale=2.0,
     )
     f_t = LinearModel(D, np.concatenate([process.weights, [0.2]]))
-    spec = LossSpec.parse("absolute", "absolute")
     pi_up = 1.0 - 0.5 * (1.0 + math.erf(0.2 / math.sqrt(2.0)))
 
-    oracle, oracle_se = population_gradient_oracle(
-        f_t, process, spec, 1_000_000, derive_seed(SEED, "oracle"), with_se=True
-    )
+    def seed_of(*labels):
+        # 10k-row datasets keep ("data"|"corrupt", r), smaller ones ("cdata"|"ccorrupt", n, r)
+        if labels[0] in ("data", "corrupt"):
+            kind, n_rows, r = labels
+            labels = (kind, r) if n_rows == 10_000 else ("c" + kind, n_rows, r)
+        return derive_seed(SEED, *labels)
 
-    n_datasets = 200
-    ests = np.empty((n_datasets, D + 1))
-    naive = np.empty((n_datasets, D + 1))
-    for r in range(n_datasets):
-        ds = corrupt(
-            generate_uncorrupted(process, 10_000, derive_seed(SEED, "data", r)),
-            process, derive_seed(SEED, "corrupt", r),
-        )
-        ests[r] = u2_dataset_gradient_estimate(f_t, ds.xs, ds.ys_prime, spec, pi_up).grad
-        naive[r] = naive_batch_gradient(f_t, ds.xs, ds.ys_prime, spec.upper,
-                                        lam=0.0, reg=None).grad
-
-    rms = []
-    for n_rows in (100, 1000):
-        errs = np.empty((n_datasets, D + 1))
-        for r in range(n_datasets):
-            ds = corrupt(
-                generate_uncorrupted(process, n_rows, derive_seed(SEED, "cdata", n_rows, r)),
-                process, derive_seed(SEED, "ccorrupt", n_rows, r),
-            )
-            errs[r] = (
-                u2_dataset_gradient_estimate(f_t, ds.xs, ds.ys_prime, spec, pi_up).grad
-                - oracle
-            )
-        rms.append(float(np.sqrt(np.mean(errs**2))))
-    rms.append(float(np.sqrt(np.mean((ests - oracle) ** 2))))
-
-    diag = estimate_eta_xi_delta(process, f_t, spec, 1_000_000, derive_seed(SEED, "diag"))
-    return {
-        "process": process, "f_t": f_t, "spec": spec,
-        "oracle": oracle, "oracle_se": oracle_se,
-        "ests": ests, "naive": naive, "rms": rms, "diag": diag,
-    }
+    return gradient_study(process, f_t, LossSpec.parse("absolute", "absolute"), pi_up,
+                          (100, 1000, 10_000), 200, 1_000_000, seed_of)
 
 
 # ---------------------------------------------------------------------------
@@ -191,12 +159,7 @@ def test_tiny_validation_robustness(bench_low, bench_tiny_val):
 # ---------------------------------------------------------------------------
 
 def test_gradient_estimator_matches_oracle(grad_study):
-    g = grad_study
-    mean_est = g["ests"].mean(axis=0)
-    se_est = g["ests"].std(axis=0, ddof=1) / math.sqrt(len(g["ests"]))
-    combined = np.sqrt(se_est**2 + g["oracle_se"] ** 2)
-    z = np.abs(mean_est - g["oracle"]) / combined
-    slope = float(np.polyfit(np.log10([100, 1000, 10000]), np.log10(g["rms"]), 1)[0])
+    z, slope = grad_study.z, grad_study.slope
     ok = (z.max() <= 4.0) and (-0.65 <= slope <= -0.35)
     record_acceptance(
         "gradient-estimator-oracle-match", ok,
@@ -208,20 +171,16 @@ def test_gradient_estimator_matches_oracle(grad_study):
 
 def test_naive_gradient_bias_floor(grad_study):
     g = grad_study
-    n = len(g["naive"])
-    mean_naive = g["naive"].mean(axis=0)
-    se_naive = g["naive"].std(axis=0, ddof=1) / math.sqrt(n)
-    bias_vec = mean_naive - g["oracle"]
-    i = int(np.argmax(np.abs(bias_vec)))
-    measured = float(np.abs(bias_vec)[i])
-    se_at = math.sqrt(se_naive[i] ** 2 + g["oracle_se"][i] ** 2)
-    bound = g["diag"].bound
+    i = int(np.argmax(np.abs(g.bias)))
+    measured = float(np.abs(g.bias)[i])
+    se_at = g.bias_se[i]
+    bound = g.diag.bound
     ok = measured >= bound - 4.0 * se_at
     record_acceptance(
         "naive-gradient-bias-floor", ok,
         f"measured max-coord bias {measured:.4f} vs floor {bound:.4f} "
-        f"(eta {g['diag'].eta:.3f}, xi {g['diag'].xi:.2f}, "
-        f"delta {g['diag'].delta:.3f}) - 4se {4 * se_at:.4f}",
+        f"(eta {g.diag.eta:.3f}, xi {g.diag.xi:.2f}, "
+        f"delta {g.diag.delta:.3f}) - 4se {4 * se_at:.4f}",
     )
     assert ok
 

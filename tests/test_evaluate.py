@@ -1,4 +1,4 @@
-"""Metrics, grid search, benchmark pipeline, and bias-floor estimation."""
+"""Metrics, grid search, benchmark pipeline, bias-floor estimation and the gradient study."""
 
 from dataclasses import asdict, replace
 
@@ -18,15 +18,18 @@ from u2reg import (
     corrupt,
     estimate_eta_xi_delta,
     generate_uncorrupted,
+    gradient_study,
     init_model,
     mae,
     mean_signed_error,
+    naive_batch_gradient,
     pooled_grid_search,
     predict,
     run_benchmark,
     split_cv,
     standardize,
     train,
+    u2_dataset_gradient_estimate,
 )
 from u2reg.evaluate import DEFAULT_GRID, Hyperparams
 from u2reg.losses import dloss_df
@@ -609,3 +612,61 @@ def test_eta_xi_delta_rejects_degenerate_models():
         estimate_eta_xi_delta(p, sunk, SQ_ABS, n_mc=2000, seed=0)
     with pytest.raises(ValueError):
         estimate_eta_xi_delta(p, LinearModel(2), SQ_ABS, n_mc=100, seed=0)
+
+
+# ---------------------------------------------------------------------------
+# the gradient study
+# ---------------------------------------------------------------------------
+
+def _small_study(sizes=(30, 60), n_datasets=2, seed_of=None):
+    p = SyntheticProcess.draw(3, derive_seed(74, "gstudy-proc"), k_percent=50.0,
+                              mode="strict", corruption_scale=2.0)
+    model = LinearModel(3, np.append(p.weights, 0.2))
+    seed_of = seed_of or (lambda *labels: derive_seed(74, *labels))
+    return p, model, gradient_study(p, model, LossSpec.parse("absolute", "absolute"), 0.42,
+                                    sizes, n_datasets, 2000, seed_of)
+
+
+def test_gradient_study_names_every_stream_through_seed_of():
+    seen = []
+
+    def seed_of(*labels):
+        seen.append(labels)
+        return derive_seed(74, *labels)
+
+    _p, _model, study = _small_study(sizes=(60, 30, 60), n_datasets=3, seed_of=seed_of)
+    assert study.sizes == (30, 60)
+    want = {("oracle",), ("diag",)} | {
+        (kind, n, r) for kind in ("data", "corrupt") for n in (30, 60) for r in range(3)
+    }
+    assert sorted(seen) == sorted(want)
+
+
+def test_gradient_study_estimate_replays_a_direct_call():
+    p, model, study = _small_study()
+    ds = corrupt(generate_uncorrupted(p, 30, derive_seed(74, "data", 30, 1)),
+                 p, derive_seed(74, "corrupt", 30, 1))
+    direct = u2_dataset_gradient_estimate(model, ds.xs, ds.ys_prime,
+                                          LossSpec.parse("absolute", "absolute"), 0.42)
+    assert np.array_equal(study.ests[0][1], direct.grad)
+    assert study.ests[0].shape == study.ests[1].shape == (2, 4)
+    assert len(study.rms) == 2 and study.z.shape == study.bias.shape == (4,)
+
+
+def test_gradient_study_takes_naive_gradients_at_the_largest_size_only(monkeypatch):
+    rows = []
+
+    def recording(model, xs, *args, **kwargs):
+        rows.append(len(xs))
+        return naive_batch_gradient(model, xs, *args, **kwargs)
+
+    monkeypatch.setattr("u2reg.evaluate.naive_batch_gradient", recording)
+    _p, _model, study = _small_study(sizes=(30, 60, 45))
+    assert rows == [60, 60]
+    assert study.naive.shape == (2, 4)
+
+
+@pytest.mark.parametrize("sizes, n_datasets", [((30,), 2), ((30, 30), 2), ((30, 60), 1)])
+def test_gradient_study_rejects_too_little_to_compare(sizes, n_datasets):
+    with pytest.raises(ValueError, match="at least two"):
+        _small_study(sizes=sizes, n_datasets=n_datasets)

@@ -17,7 +17,9 @@ from u2reg import (
     RbfLinearModel,
     SyntheticProcess,
     bias_lower_bound,
+    corrupt,
     estimate_eta_xi_delta,
+    generate_uncorrupted,
     naive_batch_gradient,
     partition_upper,
     population_gradient_oracle,
@@ -297,6 +299,25 @@ def test_dataset_estimate_empty_upper_fallback():
     res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, pi_up=0.5)
     J = jacobian_rows(model, xs)
     assert np.allclose(res.grad, (1.0 / 3.0) * J.sum(axis=0), atol=1e-15)
+
+
+@pytest.mark.parametrize("mode, scale, upper", [
+    ("paper", 2.0, "absolute"), ("paper", 13.0, "squared"), ("strict", 2.0, "huber:1"),
+])
+def test_dataset_estimate_is_the_batch_gradient_at_the_estimated_rho(mode, scale, upper):
+    # with rho_hat = n_up / (N pi_up), block_gradient / (rho_hat N) is the same estimator
+    process = SyntheticProcess.draw(10, derive_seed(19, "one-estimator", mode, scale),
+                                    k_percent=50.0, mode=mode, corruption_scale=scale)
+    ds = corrupt(generate_uncorrupted(process, 5000, derive_seed(19, "one-estimator-data")),
+                 process, derive_seed(19, "one-estimator-corrupt"))
+    model = LinearModel(10, np.append(process.weights, 0.2))
+    spec, pi_up = LossSpec.parse(upper, "absolute"), 0.42
+    n_up = int(partition_upper(predict(model, ds.xs), ds.ys_prime).sum())
+    rho_hat = n_up / (len(ds) * pi_up)
+    batch = block_gradient(model, model.features(ds.xs), ds.ys_prime, spec, rho_hat, 0.0,
+                           None, None).grad / (rho_hat * len(ds))
+    est = u2_dataset_gradient_estimate(model, ds.xs, ds.ys_prime, spec, pi_up).grad
+    assert np.max(np.abs(est - batch)) <= 1e-13
 
 
 def test_dataset_estimate_validates_pi_up():

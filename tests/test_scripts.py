@@ -16,16 +16,26 @@ def _env():
     return env
 
 
-def test_gradient_bias_study_smoke():
-    env = _env()
+def _gradient_bias_study(*args):
     script = os.path.join(ROOT, "scripts", "gradient_bias_study.py")
-    proc = subprocess.run(
-        [sys.executable, script, "--datasets", "4", "--rows", "300", "--oracle-mc", "5000"],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, script, *args],
+                          capture_output=True, text=True, env=_env(), timeout=120)
+
+
+def test_gradient_bias_study_smoke():
+    proc = _gradient_bias_study("--datasets", "4", "--rows", "300", "--oracle-mc", "5000")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "log-log RMS slope" in proc.stdout
     assert "max |z|" in proc.stdout
+    assert "naive gradient: max-coordinate bias" in proc.stdout
+    assert "analytic floor" in proc.stdout
+
+
+def test_gradient_bias_study_rejects_a_single_dataset_per_size():
+    proc = _gradient_bias_study("--datasets", "1", "--rows", "300", "--oracle-mc", "5000")
+    assert proc.returncode != 0
+    assert "at least two datasets per size" in proc.stderr
+    assert "nan" not in proc.stdout
 
 
 def test_cli_snapshot_writes_every_run(tmp_path):
