@@ -6,7 +6,8 @@ closed form. Then:
 
   1. compares the mean of the corrected (normalized) gradient estimator over
      many corrupted datasets against a large clean-sample oracle, coordinate
-     by coordinate in combined standard-error units;
+     by coordinate in combined standard-error units; the estimate is the
+     training step's block_gradient at rho_hat = n_up / (N pi_up), over rho_hat N;
   2. measures the RMS decay of the estimator error as the dataset grows,
      reporting the log-log slope (should sit near -1/2);
   3. measures the naive label-trusting gradient's bias on the largest datasets
@@ -53,7 +54,8 @@ def main():
     print(f"d={args.d} datasets={args.datasets} rows={args.rows} "
           f"oracle_mc={args.oracle_mc}  pi_up={pi_up:.4f}")
 
-    sizes = (max(args.rows // 100, 50), max(args.rows // 10, 500), args.rows)
+    sizes = tuple(min(n, args.rows) for n in (max(args.rows // 100, 50),
+                                              max(args.rows // 10, 500), args.rows))
     study = gradient_study(
         process, f_t, spec, pi_up, sizes, args.datasets, args.oracle_mc,
         lambda kind, *rest: derive_seed(args.seed, "study-" + kind, *rest),

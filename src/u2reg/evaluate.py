@@ -533,8 +533,9 @@ def gradient_study(process: SyntheticProcess, model, spec: LossSpec, pi_up: floa
 
     A clean oracle with standard errors and the (eta, xi, delta) diagnostics
     each take n_mc draws. Each size gets n_datasets corrupted datasets, with
-    the corrected estimate at pi_up on each and the naive gradient on the
-    largest size. seed_of(*labels) names every stream: ("oracle",), ("diag",),
+    the corrected estimate at pi_up on each (block_gradient, the training step's
+    gradient, at rho_hat = n_up / (N pi_up), over rho_hat N) and the naive gradient
+    on the largest size. seed_of(*labels) names every stream: ("oracle",), ("diag",),
     and ("data", n, r) and ("corrupt", n, r) for dataset r of size n.
     """
     sizes = tuple(sorted(set(sizes)))

@@ -19,14 +19,17 @@ so while no corrupted row is trusted the expected per-row gradient is
     xi * (clean gradient) + (rho - xi) * c_g * E[J],
 
 proportional to the clean gradient exactly when rho == xi. The sums are
-deliberately unnormalized; the learning rate absorbs the scale, and Adam's
-update is invariant to it anyway. Collapsing the three sums gives one weight
-per row, so a single weighted backward pass computes the whole thing:
+unnormalized, but the naive coefficient is a batch mean and both paths add
+lam * dR(theta) as is. Adam ignores the gradient's scale, not this ratio: the
+corrected penalty weighs B times less against its data term, so at B = 32 the
+lam grid 1e-3 .. 1 acts like 3e-5 .. 3e-2 (ROADMAP item 8). Collapsing the
+three sums gives one weight per row, so one weighted backward pass computes it:
 
     coeff_i = 1[up_i] * (dL_up(f_i, y_i) - c_g) + rho * c_g.
 
 block_gradient computes it from the batch rows' features; the training
-engine runs it on every step.
+engine runs it on every step, and u2_dataset_gradient_estimate is
+block_gradient at rho_hat = n_up / (N pi_up), lam = 0, divided by rho_hat N.
 
 The mirrored variant for upward-only corruption (mirror=True) swaps the
 roles of the two sides. Rows with f_i == y_i belong to the upper side in
@@ -145,29 +148,23 @@ def u2_dataset_gradient_estimate(
 ) -> GradResult:
     """Importance-normalized corrected gradient over a full dataset.
 
-    pi_up is the probability that a clean draw satisfies f(x) <= y. The
-    trustworthy rows are reweighted by pi_up / n_up so their average matches
-    the clean upper-side expectation, and the constant lower-side term is a
-    plain mean over all rows:
+    pi_up is the probability that a clean draw satisfies f(x) <= y; the
+    trustworthy rows' average is scaled to the clean upper-side expectation:
 
-        (pi_up / n_up) sum_up [dL_up(f_i, y_i) - c_g] J_i
-        + (1 / N) c_g sum_all J_i.
+        (pi_up / n_up) sum_up [dL_up(f_i, y_i) - c_g] J_i + (c_g / N) sum_all J_i,
 
-    Degenerate batches with no trustworthy rows fall back to the second term
-    alone (the first is an empty sum).
+    computed as block_gradient at rho_hat = n_up / (N pi_up) over rho_hat N.
+    With no trustworthy rows rho_hat = 1 leaves the second term alone.
     """
     if not (0.0 < pi_up <= 1.0):
         raise ValueError("pi_up must lie in (0, 1]")
     ys = np.asarray(ys, dtype=float)
-    c_g = lower_grad_coeff(spec)
-    preds, cache = model.forward(model.features(xs))
-    up = partition_upper(preds, ys)
-    n_up = int(up.sum())
-    coeff = np.full(ys.size, c_g / ys.size)
-    if n_up > 0:
-        d_up = dloss_df(spec.upper, preds, ys)
-        coeff = coeff + np.where(up, (d_up - c_g) * (pi_up / n_up), 0.0)
-    return GradResult(model.backward_weighted(cache, coeff), up)
+    feats = model.features(xs)
+    n_up = int(partition_upper(model.forward(feats)[0], ys).sum())
+    rho_hat = n_up / (ys.size * pi_up) if n_up else 1.0
+    res = block_gradient(model, feats, ys, spec, rho_hat, 0.0, None, None)
+    res.grad /= rho_hat * ys.size  # a fresh array at lam = 0
+    return res
 
 
 def population_gradient_oracle(

@@ -7,9 +7,7 @@ stated tolerance, not a flake: everything in this module is seeded and
 byte-reproducible.
 """
 
-import json
 import math
-import os
 
 import numpy as np
 import pytest

@@ -227,6 +227,12 @@ def test_pushing_untrusted_labels_further_out_leaves_the_gradient_unchanged(kind
     after = block_gradient(model, feats, pushed, spec, rho, lam, "l2", None, mirror=mirror)
     assert np.array_equal(after.grad, before.grad)
     assert np.array_equal(after.trusted, before.trusted)
+    if not mirror and not cells and kind != "mlp":
+        # n_up, so rho_hat, does not move either: nor does the dataset estimate
+        before = u2_dataset_gradient_estimate(model, X, ys, spec, 0.4)
+        after = u2_dataset_gradient_estimate(model, X, pushed, spec, 0.4)
+        assert np.array_equal(after.grad, before.grad)
+        assert np.array_equal(after.trusted, before.trusted)
 
 
 # ---------------------------------------------------------------------------
@@ -274,22 +280,22 @@ def test_naive_is_mean_normalized():
 # dataset-level importance-normalized estimate
 # ---------------------------------------------------------------------------
 
+def _written_formula(model, xs, ys, spec, pi_up):
+    # (pi_up / n_up) sum_up [dL_up - c_g] J + (c_g / N) sum_all J, from closed-form Jacobians
+    preds, J = predict(model, xs), jacobian_rows(model, xs)
+    up = preds <= ys
+    c_g = lower_grad_coeff(spec)
+    labeled = np.where(up, dloss_df(spec.upper, preds, ys) - c_g, 0.0) @ J
+    return (pi_up / up.sum()) * labeled + (c_g / len(ys)) * J.sum(axis=0)
+
+
 def test_dataset_estimate_matches_written_formula():
     rng = np.random.default_rng(17)
     model = LinearModel(3, rng.standard_normal(4))
     xs = rng.standard_normal((40, 3))
     ys = rng.standard_normal(40) * 2.0
-    pi_up = 0.37
-    res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, pi_up)
-    preds = predict(model, xs)
-    J = jacobian_rows(model, xs)
-    up = preds <= ys
-    c_g = lower_grad_coeff(SQ_ABS)
-    d_up = dloss_df(SQ_ABS.upper, preds, ys)
-    want = (pi_up / up.sum()) * (np.where(up, d_up - c_g, 0.0) @ J) + (
-        c_g / 40.0
-    ) * J.sum(axis=0)
-    assert np.allclose(res.grad, want, atol=1e-12)
+    res = u2_dataset_gradient_estimate(model, xs, ys, SQ_ABS, 0.37)
+    assert np.max(np.abs(res.grad - _written_formula(model, xs, ys, SQ_ABS, 0.37))) <= 1e-12
 
 
 def test_dataset_estimate_empty_upper_fallback():
@@ -304,20 +310,18 @@ def test_dataset_estimate_empty_upper_fallback():
 @pytest.mark.parametrize("mode, scale, upper", [
     ("paper", 2.0, "absolute"), ("paper", 13.0, "squared"), ("strict", 2.0, "huber:1"),
 ])
-def test_dataset_estimate_is_the_batch_gradient_at_the_estimated_rho(mode, scale, upper):
-    # with rho_hat = n_up / (N pi_up), block_gradient / (rho_hat N) is the same estimator
+def test_dataset_estimate_matches_written_formula_on_5000_corrupted_rows(mode, scale, upper):
+    # the estimate runs block_gradient at rho_hat = n_up / (N pi_up); the written
+    # formula stays the independent reference (measured gaps 1.7e-16 to 1.4e-15)
     process = SyntheticProcess.draw(10, derive_seed(19, "one-estimator", mode, scale),
                                     k_percent=50.0, mode=mode, corruption_scale=scale)
     ds = corrupt(generate_uncorrupted(process, 5000, derive_seed(19, "one-estimator-data")),
                  process, derive_seed(19, "one-estimator-corrupt"))
     model = LinearModel(10, np.append(process.weights, 0.2))
     spec, pi_up = LossSpec.parse(upper, "absolute"), 0.42
-    n_up = int(partition_upper(predict(model, ds.xs), ds.ys_prime).sum())
-    rho_hat = n_up / (len(ds) * pi_up)
-    batch = block_gradient(model, model.features(ds.xs), ds.ys_prime, spec, rho_hat, 0.0,
-                           None, None).grad / (rho_hat * len(ds))
     est = u2_dataset_gradient_estimate(model, ds.xs, ds.ys_prime, spec, pi_up).grad
-    assert np.max(np.abs(est - batch)) <= 1e-13
+    want = _written_formula(model, ds.xs, ds.ys_prime, spec, pi_up)
+    assert np.max(np.abs(est - want)) <= 1e-14
 
 
 def test_dataset_estimate_validates_pi_up():

@@ -26,7 +26,7 @@ def test_gradient_bias_study_smoke():
     proc = _gradient_bias_study("--datasets", "4", "--rows", "300", "--oracle-mc", "5000")
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert "log-log RMS slope" in proc.stdout
-    assert "max |z|" in proc.stdout
+    assert "corrected estimator at n=300: max |z|" in proc.stdout
     assert "naive gradient: max-coordinate bias" in proc.stdout
     assert "analytic floor" in proc.stdout
 
